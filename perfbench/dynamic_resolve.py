@@ -30,7 +30,7 @@ from .common import (
     time_probe,
     work_units,
 )
-from .hostspeed import timed
+from .hostspeed import run_timed
 from .spans import Probes, Tracer, chrome_trace, layer_values, self_time_table
 
 NAME = "dynamic-resolve"
@@ -88,14 +88,24 @@ def start_simulation(seed: int, k: int) -> Any:
 
 
 class Simulation:
-    """One timed simulation: ``raw`` wall seconds, ``wall`` the same at
-    nominal host speed (:mod:`perfbench.hostspeed`)."""
+    """One simulation: once run, its result, ``raw`` wall seconds and
+    ``wall``, the same at nominal host speed (:mod:`perfbench.hostspeed`)."""
 
     def __init__(self, seed: int, k: int) -> None:
         self.spec = make_spec(seed, k)
-        self.result, self.raw, self.wall = timed(
-            lambda: api.run_simulation(self.spec)
-        )
+        self.result: Any = None
+        self.raw = self.wall = 0.0
+
+    def simulate(self) -> Any:
+        return api.run_simulation(self.spec)
+
+
+def run_simulations(seed: int, count: int) -> list[Simulation]:
+    """Simulations ``0 .. count-1`` of a run, each timed."""
+    sims = [Simulation(seed, k) for k in range(count)]
+    for s, (result, raw, wall) in zip(sims, run_timed([s.simulate for s in sims])):
+        s.result, s.raw, s.wall = result, raw, wall
+    return sims
 
 
 def _signature(result: Any) -> tuple[Any, ...]:
@@ -123,7 +133,7 @@ def run(seed: int, seconds: float, trace: bool) -> Outcome:
     if trace:
         return _run_traced(out, seed, seconds)
     setups = setup_times(lambda: time_probe(NAME, seed))
-    sims = [Simulation(seed, k) for k in range(work_units(seconds, SIM_SECONDS))]
+    sims = run_simulations(seed, work_units(seconds, SIM_SECONDS))
     rss = self_peak_rss_mb()
 
     _check(out, sims)
@@ -183,10 +193,10 @@ def run(seed: int, seconds: float, trace: bool) -> Outcome:
 def _run_traced(out: Outcome, seed: int, seconds: float) -> Outcome:
     # half the run untraced, half traced, on the same inputs
     count = work_units(seconds / 2, SIM_SECONDS)
-    plain = [Simulation(seed, k) for k in range(count)]
+    plain = run_simulations(seed, count)
     tracer = Tracer()
     with Probes(tracer).install():
-        traced = [Simulation(seed, k) for k in range(count)]
+        traced = run_simulations(seed, count)
     _check(out, plain + traced)
     out.check(
         "traced simulations equal untraced ones",

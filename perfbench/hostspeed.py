@@ -12,8 +12,8 @@ Raw timings stay in the report's ``details``.
 
 ``python -m perfbench.hostspeed`` samples the reference every
 ``INTERVAL_S`` until its standard input closes, then prints the samples
-as JSON ``[[perf_counter time, reference seconds], ...]``; the service
-workload runs it beside the daemon.
+as JSON ``[[perf_counter time, reference seconds], ...]``; every
+workload runs it (:class:`Sampler`) beside the work it measures.
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ import sys
 from time import perf_counter
 from typing import Callable, Sequence, TypeVar
 
-from .common import median
+T = TypeVar("T")
+
+from .common import ROOT, child_env, median
 
 #: reference-loop seconds at full speed on the 2-core reference host
 NOMINAL_S = 0.010
 ELASTICITY = 0.6
 INTERVAL_S = 0.3
-
-T = TypeVar("T")
 
 
 def reference_s() -> float:
@@ -53,15 +53,30 @@ def factor(reference: float) -> float:
     return (NOMINAL_S / reference) ** ELASTICITY
 
 
-def timed(fn: Callable[[], T]) -> tuple[T, float, float]:
-    """Run ``fn``; return its result, raw seconds and nominal seconds
-    (reference sampled just before and just after)."""
-    before = reference_s()
-    start = perf_counter()
-    result = fn()
-    raw = perf_counter() - start
-    after = reference_s()
-    return result, raw, raw * factor((before + after) / 2)
+def run_timed(units: Sequence[Callable[[], T]]) -> list[tuple[T, float, float]]:
+    """Run each unit in turn; return ``(result, raw s, nominal s)`` each.
+
+    A unit's speed is the median reference of one sample just before
+    it, one just after, and the side sampler's samples while it ran
+    (a multi-second unit can span a speed change).
+    """
+    runs = []
+    with Sampler() as sampler:
+        for fn in units:
+            before = reference_s()
+            start = perf_counter()
+            result = fn()
+            end = perf_counter()
+            runs.append((result, start, end, [before, reference_s()]))
+    out = []
+    for result, start, end, refs in runs:
+        refs += [
+            ref
+            for at, ref in sampler.samples
+            if start - INTERVAL_S <= at <= end + INTERVAL_S
+        ]
+        out.append((result, end - start, (end - start) * factor(median(refs))))
+    return out
 
 
 def factor_at(samples: Sequence[tuple[float, float]], t: float) -> float:
@@ -75,14 +90,14 @@ def factor_at(samples: Sequence[tuple[float, float]], t: float) -> float:
 
 class Sampler:
     """The reference sampled in a child process while the block runs
-    (keeps the sampling loop off the load generator's interpreter lock)."""
+    (keeps the sampling loop off the measured interpreter's lock)."""
 
-    def __init__(self, cwd: str, env: dict[str, str]) -> None:
+    def __init__(self) -> None:
         self.samples: list[tuple[float, float]] = []
         self._proc = subprocess.Popen(
             [sys.executable, "-m", "perfbench.hostspeed"],
-            cwd=cwd,
-            env=env,
+            cwd=ROOT,
+            env=child_env(),
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             text=True,

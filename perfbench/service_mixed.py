@@ -429,7 +429,7 @@ class Served:
 
 
 def _serve(daemon: Daemon, schedule: list[Request], tracer: Tracer | None = None) -> Served:
-    with Sampler(str(ROOT), child_env()) as sampler:
+    with Sampler() as sampler:
         origin, records = drive(daemon, schedule, tracer)
     if not sampler.samples:
         raise RuntimeError("the host-speed sampler returned no samples")

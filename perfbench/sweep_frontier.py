@@ -31,7 +31,7 @@ from .common import (
     time_probe,
     work_units,
 )
-from .hostspeed import timed
+from .hostspeed import run_timed
 from .spans import Probes, Tracer, chrome_trace, layer_values, self_time_table
 
 NAME = "sweep-frontier"
@@ -81,7 +81,7 @@ def build_pass(seed: int, k: int) -> tuple[tuple[Any, Any], int]:
 
 
 class Pass:
-    """One timed pass and everything it answered.
+    """One pass and, once run, everything it answered.
 
     ``raw`` is its wall time in seconds, ``wall`` the same at nominal
     host speed (:mod:`perfbench.hostspeed`).
@@ -89,12 +89,14 @@ class Pass:
 
     def __init__(self, seed: int, k: int) -> None:
         self.plans, self.sweep_seed = build_pass(seed, k)
-        self.results, self.raw, self.wall = timed(
-            lambda: [
-                api.run_sweep(plan, workers=1, seed=self.sweep_seed)
-                for plan in self.plans
-            ]
-        )
+        self.results: list[Any] = []
+        self.raw = self.wall = 0.0
+
+    def sweep(self) -> list[Any]:
+        return [
+            api.run_sweep(plan, workers=1, seed=self.sweep_seed)
+            for plan in self.plans
+        ]
 
     def points(self):
         """``(application, platform, threshold, outcome)`` per grid point."""
@@ -108,6 +110,14 @@ class Pass:
     @property
     def solver_seconds(self) -> float:
         return sum(o.elapsed for *_, o in self.points())
+
+
+def run_passes(seed: int, count: int) -> list[Pass]:
+    """Passes ``0 .. count-1`` of a run, each timed."""
+    passes = [Pass(seed, k) for k in range(count)]
+    for p, (results, raw, wall) in zip(passes, run_timed([p.sweep for p in passes])):
+        p.results, p.raw, p.wall = results, raw, wall
+    return passes
 
 
 def _check(out: Outcome, passes: list[Pass]) -> tuple[int, int, list[float]]:
@@ -157,7 +167,7 @@ def run(seed: int, seconds: float, trace: bool) -> Outcome:
     if trace:
         return _run_traced(out, seed, seconds)
     setups = setup_times(lambda: time_probe(NAME, seed))
-    passes = [Pass(seed, k) for k in range(work_units(seconds, PASS_SECONDS))]
+    passes = run_passes(seed, work_units(seconds, PASS_SECONDS))
     rss = self_peak_rss_mb()
 
     points, completed, reliability = _check(out, passes)
@@ -196,10 +206,10 @@ def run(seed: int, seconds: float, trace: bool) -> Outcome:
 def _run_traced(out: Outcome, seed: int, seconds: float) -> Outcome:
     # half the run untraced, half traced, on the same inputs
     count = work_units(seconds / 2, PASS_SECONDS)
-    plain = [Pass(seed, k) for k in range(count)]
+    plain = run_passes(seed, count)
     tracer = Tracer()
     with Probes(tracer).install():
-        traced = [Pass(seed, k) for k in range(count)]
+        traced = run_passes(seed, count)
     _check(out, plain + traced)
     out.check(
         "traced answers equal untraced answers",
