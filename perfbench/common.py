@@ -82,7 +82,11 @@ PER_LAYER: tuple[tuple[str, str, str], ...] = (
 )
 
 #: fresh-process set-ups timed per run; setup_s is their median
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
+#: how a set-up (process spawn, imports, first input) follows the
+#: host-speed reference (hostspeed.py): with the simulations' 1.0 the
+#: set-up medians of slow-host runs read 25% below the others
+SETUP_ELASTICITY = 0.5
 
 
 def work_units(seconds: float, unit_seconds: float) -> int:
@@ -112,18 +116,19 @@ def percentile(values: Iterable[float], q: float) -> float:
     return ordered[rank - 1]
 
 
-def tail_percentile(
-    values: Sequence[float],
-    levels: Sequence[float] = (99.9, 99.0, 95.0, 90.0, 75.0, 50.0),
-) -> tuple[float, float]:
+#: tail levels :func:`tail_percentile` tries, highest first
+TAIL_LEVELS = (99.9, 99.0, 95.0, 90.0, 75.0, 50.0)
+
+
+def tail_percentile(values: Sequence[float]) -> tuple[float, float]:
     """``(q, value)`` for the highest ``q`` with >= 10 samples above it.
 
     A tail percentile backed by fewer samples beyond it is noise; this
-    picks the highest level the sample count supports (``(nan, nan)``
-    when even the median is not supported).
+    picks the highest of :data:`TAIL_LEVELS` the sample count supports
+    (``(nan, nan)`` when even the median is not supported).
     """
     n = len(values)
-    for q in levels:
+    for q in TAIL_LEVELS:
         if n - math.ceil(q / 100.0 * n) >= 10:
             return q, percentile(values, q)
     return math.nan, math.nan
@@ -284,13 +289,12 @@ def proc_peak_rss_mb(pid: int) -> float:
 def setup_times(measure: Callable[[], float]) -> list[float]:
     """``SETUP_REPEATS`` set-up timings from ``measure`` (raw seconds),
     each taken to nominal host speed."""
-    from .hostspeed import factor, reference_s
+    from .hostspeed import timed
 
     out = []
     for _ in range(SETUP_REPEATS):
-        before = reference_s()
-        raw = measure()
-        out.append(raw * factor((before + reference_s()) / 2))
+        raw, _, scale = timed(measure, SETUP_ELASTICITY)
+        out.append(raw * scale)
     return out
 
 

@@ -30,7 +30,7 @@ from .common import (
     time_probe,
     work_units,
 )
-from .hostspeed import run_timed
+from .hostspeed import timed
 from .spans import Probes, Tracer, chrome_trace, layer_values, self_time_table
 
 NAME = "dynamic-resolve"
@@ -43,19 +43,30 @@ SIM_SECONDS = 0.6
 ARRIVAL_RATE = 0.05
 #: mean repair time: processors revive, so re-solves recur all run long
 REPAIR = 2000.0
+#: how simulation times follow the host-speed reference (hostspeed.py):
+#: single sets of 5-10 runs fit 0.6 to 1.0 (a neighbour's load does not
+#: slow every instruction mix alike); 0.8 gives the least worst-case
+#: run-to-run spread of the simulation p50 over four such sets
+ELASTICITY = 0.8
 
 
 def make_spec(seed: int, k: int) -> dict[str, Any]:
-    """Simulation ``k`` of a run: a fresh instance, the middle point of
-    its latency grid as threshold (always feasible)."""
-    instance_seed = seed * 1000 + k
+    """Simulation ``k`` of a run: instance ``k`` of a fixed pool, the
+    middle point of its latency grid as threshold (always feasible), and
+    an arrival trace and failure timeline drawn from the run's seed.
+
+    The pool is the same for every seed: instances differ so much in
+    reliability (about 1.6 nines standard deviation) that a fresh draw
+    of a run's instances moved ``fp_nines`` by 10% between seeds, while
+    what a change to the program moves is the mappings chosen on them.
+    """
     instance = {
         "scenario": "churn-pool",
-        "seed": instance_seed,
+        "seed": k,
         "params": {"stages": STAGES},
     }
     application, platform = api.make_scenario(
-        "churn-pool", seed=instance_seed, params={"stages": STAGES}
+        "churn-pool", seed=k, params={"stages": STAGES}
     )
     return {
         "schema": 1,
@@ -66,7 +77,7 @@ def make_spec(seed: int, k: int) -> dict[str, Any]:
         "policy": "resolve-warm",
         "trace": {"kind": "poisson", "items": ITEMS, "rate": ARRIVAL_RATE},
         "failures": {"model": "iid", "params": {"repair": REPAIR}},
-        "seed": instance_seed,
+        "seed": seed * 1000 + k,
     }
 
 
@@ -103,8 +114,9 @@ class Simulation:
 def run_simulations(seed: int, count: int) -> list[Simulation]:
     """Simulations ``0 .. count-1`` of a run, each timed."""
     sims = [Simulation(seed, k) for k in range(count)]
-    for s, (result, raw, wall) in zip(sims, run_timed([s.simulate for s in sims])):
-        s.result, s.raw, s.wall = result, raw, wall
+    for s in sims:
+        s.result, s.raw, scale = timed(s.simulate, ELASTICITY)
+        s.wall = s.raw * scale
     return sims
 
 

@@ -3,17 +3,27 @@
 On the shared 2-core hosts this benchmark runs on, the speed of a vCPU
 drifts by up to 2x within seconds (another tenant on the same physical
 core), which swamps any program change.  A fixed pure-Python loop that
-never touches the program measures that speed next to every timed unit
-of work; each timing is then scaled by ``(NOMINAL_S / reference) **
-ELASTICITY``.  The elasticity is measured: across speed swings, the
-workloads' times move as the reference's to the power ~0.6 (0.59 for a
-daemon cold solve, 0.61 for a sweep pass, 0.66 for a simulation).
-Raw timings stay in the report's ``details``.
+never touches the program measures that speed, and each timing is
+scaled by ``(NOMINAL_S / reference) ** elasticity``.  The elasticity is
+the workload's own, fitted across speed swings with the idle-only
+samples below: how a workload's times follow the reference depends on
+its instruction mix and on the neighbour's (a daemon that also waits
+on sockets follows it about as its square root).  Raw timings stay in
+the report's ``details``.
 
-``python -m perfbench.hostspeed`` samples the reference every
-``INTERVAL_S`` until its standard input closes, then prints the samples
-as JSON ``[[perf_counter time, reference seconds], ...]``; every
-workload runs it (:class:`Sampler`) beside the work it measures.
+The reference is only ever taken while the measured workload is idle,
+so the workload's own CPU load never slows it (a change that added load
+would otherwise shrink its own reported regression):
+
+* in-process units (sweep passes, simulations, set-ups) run between two
+  brackets of ``BRACKET_PASSES`` passes, one just before and one just
+  after (:func:`timed`);
+* the service workload never pauses, so a side process samples the
+  reference every ``INTERVAL_S`` (:class:`Sampler`, ``python -m
+  perfbench.hostspeed``: samples until its standard input closes, then
+  prints ``[[perf_counter start, reference seconds], ...]``), and only
+  the samples that overlap no request in flight are kept
+  (:func:`idle_samples`).
 """
 
 from __future__ import annotations
@@ -26,14 +36,17 @@ import sys
 from time import perf_counter
 from typing import Callable, Sequence, TypeVar
 
-T = TypeVar("T")
-
 from .common import ROOT, child_env, median
+
+T = TypeVar("T")
 
 #: reference-loop seconds at full speed on the 2-core reference host
 NOMINAL_S = 0.010
-ELASTICITY = 0.6
-INTERVAL_S = 0.3
+INTERVAL_S = 0.2
+#: reference passes on each side of an in-process unit (one pass is noisy)
+BRACKET_PASSES = 3
+#: slack around a request's busy interval when selecting idle samples
+IDLE_MARGIN_S = 0.005
 
 
 def reference_s() -> float:
@@ -48,49 +61,56 @@ def reference_s() -> float:
     return perf_counter() - start
 
 
-def factor(reference: float) -> float:
+def factor(reference: float, elasticity: float) -> float:
     """Multiplier taking a timing measured at ``reference`` speed to nominal."""
-    return (NOMINAL_S / reference) ** ELASTICITY
+    return (NOMINAL_S / reference) ** elasticity
 
 
-def run_timed(units: Sequence[Callable[[], T]]) -> list[tuple[T, float, float]]:
-    """Run each unit in turn; return ``(result, raw s, nominal s)`` each.
-
-    A unit's speed is the median reference of one sample just before
-    it, one just after, and the side sampler's samples while it ran
-    (a multi-second unit can span a speed change).
-    """
-    runs = []
-    with Sampler() as sampler:
-        for fn in units:
-            before = reference_s()
-            start = perf_counter()
-            result = fn()
-            end = perf_counter()
-            runs.append((result, start, end, [before, reference_s()]))
-    out = []
-    for result, start, end, refs in runs:
-        refs += [
-            ref
-            for at, ref in sampler.samples
-            if start - INTERVAL_S <= at <= end + INTERVAL_S
-        ]
-        out.append((result, end - start, (end - start) * factor(median(refs))))
-    return out
+def bracket_s() -> list[float]:
+    """``BRACKET_PASSES`` reference passes back to back (one side of a unit)."""
+    return [reference_s() for _ in range(BRACKET_PASSES)]
 
 
-def factor_at(samples: Sequence[tuple[float, float]], t: float) -> float:
+def timed(fn: Callable[[], T], elasticity: float) -> tuple[T, float, float]:
+    """Run ``fn`` between two brackets of reference passes; return its
+    result, its wall seconds and the factor to nominal speed (from the
+    median of the passes on both sides)."""
+    before = bracket_s()
+    start = perf_counter()
+    result = fn()
+    raw = perf_counter() - start
+    return result, raw, factor(median(before + bracket_s()), elasticity)
+
+
+def idle_samples(
+    samples: Sequence[tuple[float, float]], busy: Sequence[tuple[float, float]]
+) -> list[tuple[float, float]]:
+    """The samples whose reference pass overlapped none of the ``busy``
+    ``(start, end)`` intervals (``IDLE_MARGIN_S`` slack on each side)."""
+    return [
+        (at, ref)
+        for at, ref in samples
+        if not any(
+            at < end + IDLE_MARGIN_S and start - IDLE_MARGIN_S < at + ref
+            for start, end in busy
+        )
+    ]
+
+
+def factor_at(
+    samples: Sequence[tuple[float, float]], t: float, elasticity: float
+) -> float:
     """Scale factor at ``perf_counter`` time ``t``: median reference of
     the samples within one second of it (nearest sample if none)."""
     near = [ref for at, ref in samples if abs(at - t) <= 1.0]
     if not near:
         near = [min(samples, key=lambda s: abs(s[0] - t))[1]]
-    return factor(median(near))
+    return factor(median(near), elasticity)
 
 
 class Sampler:
     """The reference sampled in a child process while the block runs
-    (keeps the sampling loop off the measured interpreter's lock)."""
+    (keeps the sampling loop off the load generator's interpreter lock)."""
 
     def __init__(self) -> None:
         self.samples: list[tuple[float, float]] = []

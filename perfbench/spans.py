@@ -326,14 +326,21 @@ class Probes:
         return _execute_job
 
     # -- installation --------------------------------------------------
-    def install(self, *, service: bool = False) -> "Probes":
-        """Wrap every layer; ``service`` adds the daemon's job boundary."""
+    def install(self, *, scalar_calls: bool = True) -> "Probes":
+        """Wrap every layer, the daemon's job boundary included.
+
+        ``scalar_calls=False`` leaves the heuristics' scalar objective
+        calls uncounted: the per-call wrapper adds about 20% to a cold
+        greedy solve, too much for the daemon, whose traced cold-solve
+        breakdown must account for the untraced latency.
+        """
         import importlib
 
         from repro.algorithms.bicriteria import exhaustive
         from repro.core.metrics import EvaluationCache
         from repro.core.metrics_bulk import BulkEvaluator
         from repro.engine import batch, registry, store, sweeps
+        from repro.service import server
         from repro.simulation import dynamic, kernel
 
         self._patch(registry, "solve", self._registry_solve)
@@ -346,18 +353,15 @@ class Probes:
         for method in ("latencies", "failure_probabilities", "evaluate_block"):
             self._patch(BulkEvaluator, method, self._block_span(f"core.metrics_bulk.{method}"))
         self._patch(EvaluationCache, "__init__", self._cache_init)
-        for module_name in _SCALAR_SITES:
+        for module_name in _SCALAR_SITES if scalar_calls else ():
             module = importlib.import_module(module_name)
             for name in _SCALAR_NAMES:
                 if hasattr(module, name):
                     self._patch(module, name, self._counted)
         self._patch(kernel.Simulator, "step", self._kernel_step)
         self._patch(dynamic, "resolve_mapping", self._resolve_mapping)
-        if service:
-            from repro.service import server
-
-            self._patch(server, "iter_sweep", self._generator_span("engine.sweeps.iter_sweep"))
-            self._patch(server.SolverService, "_execute_job", self._service_job)
+        self._patch(server, "iter_sweep", self._generator_span("engine.sweeps.iter_sweep"))
+        self._patch(server.SolverService, "_execute_job", self._service_job)
         return self
 
 

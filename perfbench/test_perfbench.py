@@ -60,24 +60,36 @@ def test_sweep_overhead_excludes_nested_solver_time():
     assert values["engine.registry.solves"] == (1, 1)
 
 
+def test_speed_samples_overlapping_a_request_are_dropped():
+    from perfbench.hostspeed import idle_samples
+
+    samples = [(0.00, 0.01), (0.10, 0.01), (0.20, 0.01), (0.30, 0.01)]
+    # request 1 starts during the first pass; request 2 ends just
+    # before the fourth pass, within the margin
+    busy = [(0.005, 0.05), (0.15, 0.298)]
+    assert idle_samples(samples, busy) == [(0.10, 0.01)]
+    assert idle_samples(samples, []) == samples
+
+
 def test_service_schedule_is_a_function_of_the_seed():
-    from perfbench.service_mixed import COLD_SHARE, SWEEP_SHARE, build_schedule
+    from perfbench.service_mixed import COLD_SHARE, RATE, SWEEP_SHARE, build_schedule
 
     def shape(schedule):
         return [(r.due, r.kind, json.dumps(r.fields, sort_keys=True)) for r in schedule]
 
-    first, again = build_schedule(3, 4.0), build_schedule(3, 4.0)
+    first, again = build_schedule(3, 8.0), build_schedule(3, 8.0)
+    total = round(RATE * 8.0)
     assert shape(first) == shape(again)
-    assert shape(first) != shape(build_schedule(4, 4.0))
-    assert len(first) == 60
-    assert sum(r.kind == "sweep" for r in first) == round(SWEEP_SHARE * 60)
+    assert shape(first) != shape(build_schedule(4, 8.0))
+    assert len(first) == total
+    assert sum(r.kind == "sweep" for r in first) == round(SWEEP_SHARE * total)
     # a warm request only ever repeats a cold one due at least 1 s before
     for r in first:
         if r.kind == "warm":
             assert r.original.kind == "cold"
             assert r.due - r.original.due >= 1.0
             assert r.fields is r.original.fields
-    assert sum(r.kind != "sweep" for r in first) == round((1 - SWEEP_SHARE) * 60)
+    assert sum(r.kind != "sweep" for r in first) == total - round(SWEEP_SHARE * total)
     assert 0 < COLD_SHARE < 1
 
 
@@ -89,7 +101,7 @@ def test_probes_are_transparent_and_restored():
     originals = (registry.solve, batch.solve)
     plain = api.solve("local-search-min-fp", app, plat, 60.0, seed=3)
     tracer = Tracer()
-    with Probes(tracer).install(service=True):
+    with Probes(tracer).install():
         assert registry.solve is not originals[0]
         traced = registry.solve("local-search-min-fp", app, plat, 60.0, seed=3)
     assert traced == plain

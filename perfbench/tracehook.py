@@ -15,7 +15,7 @@ from perfbench.spans import Probes, Tracer
 
 _OUT = os.environ["PERFBENCH_TRACE_OUT"]
 _TRACER = Tracer()
-_PROBES = Probes(_TRACER).install(service=True)
+_PROBES = Probes(_TRACER).install(scalar_calls=False)
 
 
 def _dump() -> None:
