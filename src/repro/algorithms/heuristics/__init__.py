@@ -14,13 +14,18 @@ polynomial algorithms, so this subpackage provides:
 * :mod:`~repro.algorithms.heuristics.annealing` — simulated annealing on
   the same moves.
 
-All four solvers accept a ``use_bulk`` knob (automatic when numpy is
-present): candidate pools are then generated in boundary/bitmask row
-form (:func:`~repro.algorithms.heuristics.neighborhood.neighbor_rows`)
-and scored through :class:`~repro.core.metrics_bulk.BulkEvaluator`,
-with decisions still taken on scalar-exact values — results are
-bit-identical to the scalar path under a fixed seed (see
-:mod:`~repro.algorithms.heuristics.bulk`).
+Single-interval, local search and annealing accept a ``use_bulk`` knob
+(automatic when numpy is present): candidate pools are then generated
+in boundary/bitmask row form
+(:func:`~repro.algorithms.heuristics.neighborhood.neighbor_rows`) and
+scored through :class:`~repro.core.metrics_bulk.BulkEvaluator`, with
+decisions still taken on scalar-exact values — results are bit-identical
+to the scalar path under a fixed seed (see
+:mod:`~repro.algorithms.heuristics.bulk`).  Greedy has no bulk path: an
+enrolment trial changes one interval, so it scores every trial from the
+cached interval terms of
+:meth:`~repro.core.metrics.EvaluationCache.objectives_with`, which beats
+bulk scoring at every measured shape.
 """
 
 from .annealing import AnnealingSchedule, anneal_minimize_fp, anneal_minimize_latency

@@ -1,8 +1,8 @@
 """Shared machinery for the heuristics' bulk candidate-pool scoring.
 
-The four heuristic solvers (single-interval grid, greedy, local search,
-annealing) historically scored candidates one at a time through the
-scalar metric functions.  With numpy present they instead score whole
+Three heuristic solvers (single-interval grid, local search, annealing)
+historically scored candidates one at a time through the scalar metric
+functions.  With numpy present they instead score whole
 candidate pools through :class:`~repro.core.metrics_bulk.BulkEvaluator`
 — but their *decisions* must stay bit-identical to the scalar path
 (same accepted-move sequences, same final mapping under a fixed seed).

@@ -22,35 +22,29 @@ This is a heuristic: Theorem 7 (Fully Heterogeneous) and the Section 4.4
 conjecture (Communication Homogeneous / Failure Heterogeneous) rule out
 exact polynomial algorithms.
 
-With numpy present (``use_bulk``) every replication round scores its
-whole ``(processor, interval)`` enrolment-trial pool through
-:class:`~repro.core.metrics_bulk.BulkEvaluator` in one call; only the
-trials the conservative prefilter margin cannot rule out are re-scored
-through the scalar metrics, in the scalar loop's trial order — so the
-enrolment sequence and the final mapping are identical to the scalar
-path (a machine-checked property).
+An enrolment trial changes one interval's replica set: one FP term, one
+eq. (1) term or at most two eq. (2) terms.  Every trial, seed and warm
+start of a solve is therefore scored through one
+:class:`~repro.core.metrics.EvaluationCache`, whose
+:meth:`~repro.core.metrics.EvaluationCache.objectives_with` looks up
+only the changed terms and is bit-identical to evaluating the trial
+mapping from scratch — so the enrolment sequence equals the plain
+per-trial scalar loop's (a machine-checked property).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import Any, Iterator
 
 from ..result import SolverResult
 from ...core.application import PipelineApplication
 from ...core.mapping import IntervalMapping, StageInterval
-from ...core.metrics import evaluate, failure_probability, latency
-from ...core.metrics_bulk import (
-    BlockBuilder,
-    BulkEvaluator,
-    resolve_use_bulk,
-)
+from ...core.metrics import EvaluationCache
 from ...core.platform import Platform
 from ...core.serialization import mapping_to_dict
+from ...core.validation import validate_mapping
 from ...exceptions import InfeasibleProblemError
 from .warm import WarmStarts, decode_warm_starts
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
 
 __all__ = ["greedy_minimize_fp", "greedy_minimize_latency", "balanced_partition"]
 
@@ -143,13 +137,42 @@ def _seed_allocations_reliable(
     return allocations
 
 
-def _mapping(intervals: list[StageInterval], allocations: list[set[int]]) -> IntervalMapping:
-    return IntervalMapping(intervals, [frozenset(a) for a in allocations])
+def _constructions(
+    application: PipelineApplication, platform: Platform
+) -> Iterator[tuple[int, str, IntervalMapping]]:
+    """Every ``(p, seed name, seed mapping)`` the procedure grows from."""
+    for p in range(1, min(application.num_stages, platform.size) + 1):
+        intervals = balanced_partition(application, p)
+        if len(intervals) < p:
+            continue
+        for seed_fn in (_seed_allocations, _seed_allocations_reliable):
+            allocations = seed_fn(application, platform, intervals)
+            yield p, seed_fn.__name__, IntervalMapping(intervals, allocations)
+
+
+def _trials(
+    mapping: IntervalMapping, unused: list[int]
+) -> Iterator[tuple[int, int, frozenset[int]]]:
+    """One round's ``(u, j, enlarged allocation)`` enrolment trials, in
+    the order ties are broken: processors outer, intervals inner."""
+    for u in unused:
+        extra = frozenset((u,))
+        for j, alloc in enumerate(mapping.allocations):
+            yield u, j, alloc | extra
+
+
+def _enrolled(
+    mapping: IntervalMapping, j: int, allocation: frozenset[int]
+) -> IntervalMapping:
+    """``mapping`` with interval ``j`` on ``allocation`` (an enlarged set
+    of an unused processor, so the structural rules still hold)."""
+    allocations = list(mapping.allocations)
+    allocations[j] = allocation
+    return IntervalMapping._trusted(mapping.intervals, tuple(allocations))
 
 
 def _warm_results(
-    application: PipelineApplication,
-    platform: Platform,
+    cache: EvaluationCache,
     warm_starts: WarmStarts | None,
     solver: str,
 ) -> list[SolverResult]:
@@ -160,49 +183,20 @@ def _warm_results(
     the final selection — which is exactly what makes the result never
     worse than any feasible warm start.
     """
-    return [
-        SolverResult(
-            mapping=mapping,
-            latency=latency(mapping, application, platform),
-            failure_probability=failure_probability(mapping, platform),
-            solver=solver,
-            optimal=False,
-            extras={"intervals": mapping.num_intervals, "seed": "warm_start"},
+    results = []
+    for mapping in decode_warm_starts(warm_starts):
+        validate_mapping(mapping, cache.application, cache.platform)
+        results.append(
+            SolverResult(
+                mapping=mapping,
+                latency=cache.latency(mapping),
+                failure_probability=cache.failure_probability(mapping),
+                solver=solver,
+                optimal=False,
+                extras={"intervals": mapping.num_intervals, "seed": "warm_start"},
+            )
         )
-        for mapping in decode_warm_starts(warm_starts)
-    ]
-
-
-def _bulk_trial_scores(
-    evaluator: BulkEvaluator,
-    application: PipelineApplication,
-    intervals: list[StageInterval],
-    allocations: list[set[int]],
-    unused: list[int],
-) -> tuple["np.ndarray", "np.ndarray"]:
-    """Bulk-score every ``(unused processor, interval)`` enrolment trial.
-
-    Row ``ui * p + j`` enrols ``unused[ui]`` into interval ``j`` —
-    exactly the scalar loops' trial order, so index arithmetic recovers
-    the trial from a surviving row.
-    """
-    from .neighborhood import _mask
-
-    p = len(intervals)
-    ends = tuple(iv.end for iv in intervals)
-    base_masks = [_mask(alloc) for alloc in allocations]
-    builder = BlockBuilder(
-        application.num_stages,
-        evaluator.platform.size,
-        capacity=max(1, len(unused) * p),
-    )
-    for u in unused:
-        bit = 1 << (u - 1)
-        for j in range(p):
-            masks = list(base_masks)
-            masks[j] |= bit
-            builder.append(ends, masks)
-    return evaluator.evaluate_block(builder.build())
+    return results
 
 
 def greedy_minimize_fp(
@@ -211,19 +205,12 @@ def greedy_minimize_fp(
     latency_threshold: float,
     *,
     tolerance: float = 1e-9,
-    use_bulk: bool | None = None,
-    bulk_backend: str | None = None,
     warm_starts: WarmStarts | None = None,
     recorder: Any = None,
 ) -> SolverResult:
     """Greedy split-and-replicate for 'minimise FP s.t. latency <= L'.
 
-    ``use_bulk`` selects vectorized trial scoring (``None`` = automatic
-    when numpy is present); ``bulk_backend`` picks the evaluator's array
-    engine (``"auto"`` / ``"jit"`` / ``"numpy"``, see
-    :func:`repro.core.metrics_bulk.resolve_backend`); the constructed
-    mapping is identical either way.  ``warm_starts`` (mappings or
-    serialised dicts) compete as
+    ``warm_starts`` (mappings or serialised dicts) compete as
     ready-made candidates in the final selection, so the result is never
     worse than any feasible warm start.  ``recorder`` (a
     :class:`repro.engine.recorder.RunRecorder`) captures every seed
@@ -235,18 +222,15 @@ def greedy_minimize_fp(
         If no constructed candidate meets the latency threshold.
     """
     slack = tolerance * max(1.0, abs(latency_threshold))
-    n, m = application.num_stages, platform.size
-    bulk = resolve_use_bulk(use_bulk)
-    evaluator = (
-        BulkEvaluator(application, platform, backend=bulk_backend)
-        if bulk
-        else None
-    )
+    bound = latency_threshold + slack
+    m = platform.size
+    solver = "greedy-split-replicate-min-fp"
+    cache = EvaluationCache(application, platform)
+    if recorder is not None:
+        recorder.observe_cache(cache)
     best: SolverResult | None = None
-    for cand in _warm_results(
-        application, platform, warm_starts, "greedy-split-replicate-min-fp"
-    ):
-        if cand.latency > latency_threshold + slack:
+    for cand in _warm_results(cache, warm_starts, solver):
+        if cand.latency > bound:
             continue
         if best is None or (
             (cand.failure_probability, cand.latency)
@@ -254,93 +238,65 @@ def greedy_minimize_fp(
         ):
             best = cand
 
-    for p in range(1, min(n, m) + 1):
-        intervals = balanced_partition(application, p)
-        if len(intervals) < p:
-            continue
-        for seed_fn in (_seed_allocations, _seed_allocations_reliable):
-            allocations = seed_fn(application, platform, intervals)
-            mapping = _mapping(intervals, allocations)
-            lat = latency(mapping, application, platform)
-            if lat > latency_threshold + slack:
-                continue  # seed already too slow; other p / seed may fit
-            if recorder is not None:
-                recorder.emit(
-                    "construct",
-                    p=p,
-                    seed=seed_fn.__name__,
-                    mapping=mapping_to_dict(mapping),
-                    latency=lat,
-                )
-
-            # replicate greedily while the budget allows
-            used = set().union(*allocations)
-            unused = [u for u in range(1, m + 1) if u not in used]
-            improved = True
-            while improved and unused:
-                improved = False
-                current_fp = failure_probability(mapping, platform)
-                trial_rows = _fp_trial_candidates(
-                    evaluator,
-                    application,
-                    intervals,
-                    allocations,
-                    unused,
-                    latency_threshold,
-                    slack,
-                    current_fp,
-                )
-                best_gain = 0.0
-                best_choice: tuple[int, int, IntervalMapping, float] | None = None
-                for u, j in trial_rows:
-                    trial_allocs = [set(a) for a in allocations]
-                    trial_allocs[j].add(u)
-                    trial = _mapping(intervals, trial_allocs)
-                    trial_lat = latency(trial, application, platform)
-                    if trial_lat > latency_threshold + slack:
-                        continue
-                    gain = current_fp - failure_probability(trial, platform)
-                    if gain > best_gain + 1e-15:
-                        best_gain = gain
-                        best_choice = (u, j, trial, trial_lat)
-                if best_choice is not None:
-                    u, j, mapping, lat = best_choice
-                    allocations[j].add(u)
-                    unused.remove(u)
-                    improved = True
-                    if recorder is not None:
-                        recorder.emit(
-                            "enroll",
-                            p=p,
-                            seed=seed_fn.__name__,
-                            u=u,
-                            j=j,
-                            gain=best_gain,
-                            latency=lat,
-                        )
-
-            ev = evaluate(mapping, application, platform)
-            if recorder is not None:
-                recorder.emit(
-                    "candidate",
-                    p=p,
-                    seed=seed_fn.__name__,
-                    latency=ev.latency,
-                    fp=ev.failure_probability,
-                )
-            cand = SolverResult(
-                mapping=mapping,
-                latency=ev.latency,
-                failure_probability=ev.failure_probability,
-                solver="greedy-split-replicate-min-fp",
-                optimal=False,
-                extras={"intervals": p, "seed": seed_fn.__name__},
+    for p, seed, mapping in _constructions(application, platform):
+        lat = cache.latency(mapping)
+        if lat > bound:
+            continue  # seed already too slow; other p / seed may fit
+        if recorder is not None:
+            recorder.emit(
+                "construct",
+                p=p,
+                seed=seed,
+                mapping=mapping_to_dict(mapping),
+                latency=lat,
             )
-            if best is None or (
-                (cand.failure_probability, cand.latency)
-                < (best.failure_probability, best.latency)
-            ):
-                best = cand
+
+        # replicate greedily while the budget allows
+        used = mapping.used_processors
+        unused = [u for u in range(1, m + 1) if u not in used]
+        improved = True
+        while improved and unused:
+            improved = False
+            current_fp = cache.failure_probability(mapping)
+            best_gain = 0.0
+            best_choice: tuple[int, int, frozenset[int], float] | None = None
+            for u, j, allocation in _trials(mapping, unused):
+                trial_lat, trial_fp = cache.objectives_with(mapping, j, allocation)
+                if trial_lat > bound:
+                    continue
+                gain = current_fp - trial_fp
+                if gain > best_gain + 1e-15:
+                    best_gain = gain
+                    best_choice = (u, j, allocation, trial_lat)
+            if best_choice is not None:
+                u, j, allocation, lat = best_choice
+                mapping = _enrolled(mapping, j, allocation)
+                unused.remove(u)
+                improved = True
+                if recorder is not None:
+                    recorder.emit(
+                        "enroll",
+                        p=p,
+                        seed=seed,
+                        u=u,
+                        j=j,
+                        gain=best_gain,
+                        latency=lat,
+                    )
+
+        lat = cache.latency(mapping)
+        fp = cache.failure_probability(mapping)
+        if recorder is not None:
+            recorder.emit("candidate", p=p, seed=seed, latency=lat, fp=fp)
+        if best is None or (fp, lat) < (best.failure_probability, best.latency):
+            best = SolverResult(
+                mapping=mapping,
+                latency=lat,
+                failure_probability=fp,
+                solver=solver,
+                optimal=False,
+                extras={"intervals": p, "seed": seed},
+            )
 
     if best is None:
         raise InfeasibleProblemError(
@@ -350,57 +306,12 @@ def greedy_minimize_fp(
     return best
 
 
-def _fp_trial_candidates(
-    evaluator: BulkEvaluator | None,
-    application: PipelineApplication,
-    intervals: list[StageInterval],
-    allocations: list[set[int]],
-    unused: list[int],
-    latency_threshold: float,
-    slack: float,
-    current_fp: float,
-) -> list[tuple[int, int]]:
-    """The ``(u, j)`` trials one min-FP replication round must score.
-
-    Scalar mode returns the full grid; bulk mode prunes it to the trials
-    that may still win the round — every trial whose bulk latency could
-    be feasible *and* whose bulk FP gain is within the conservative
-    margin of the best gain among clearly feasible trials (the scalar
-    winner provably sits in that set).
-    """
-    p = len(intervals)
-    grid = [(u, j) for u in unused for j in range(p)]
-    if evaluator is None:
-        return grid
-
-    import numpy as np
-
-    from .bulk import margin, value_margin
-
-    lats, fps = _bulk_trial_scores(
-        evaluator, application, intervals, allocations, unused
-    )
-    gains = current_fp - fps
-    lat_slack = margin(latency_threshold)
-    gain_slack = value_margin(current_fp)
-    maybe_feasible = lats <= latency_threshold + slack + lat_slack
-    clearly_feasible = lats <= latency_threshold + slack - lat_slack
-    if bool(clearly_feasible.any()):
-        cutoff = float(gains[clearly_feasible].max()) - gain_slack
-    else:
-        cutoff = -np.inf
-    keep = maybe_feasible & (gains >= cutoff) & (gains > -gain_slack)
-    return [grid[int(i)] for i in np.flatnonzero(keep)]
-
-
 def greedy_minimize_latency(
     application: PipelineApplication,
     platform: Platform,
     fp_threshold: float,
     *,
     tolerance: float = 1e-9,
-    use_bulk: bool | None = None,
-    bulk_backend: str | None = None,
     warm_starts: WarmStarts | None = None,
     recorder: Any = None,
 ) -> SolverResult:
@@ -408,9 +319,8 @@ def greedy_minimize_latency(
 
     For each interval count the seed mapping is repaired towards
     feasibility by enrolling, at each step, the replica with the smallest
-    latency increase per unit of FP decrease.  ``use_bulk``,
-    ``bulk_backend``, ``warm_starts`` and ``recorder`` behave as in
-    :func:`greedy_minimize_fp`.
+    latency increase per unit of FP decrease.  ``warm_starts`` and
+    ``recorder`` behave as in :func:`greedy_minimize_fp`.
 
     Raises
     ------
@@ -418,18 +328,15 @@ def greedy_minimize_latency(
         If no constructed candidate meets the FP threshold.
     """
     slack = tolerance * max(1.0, abs(fp_threshold))
-    n, m = application.num_stages, platform.size
-    bulk = resolve_use_bulk(use_bulk)
-    evaluator = (
-        BulkEvaluator(application, platform, backend=bulk_backend)
-        if bulk
-        else None
-    )
+    bound = fp_threshold + slack
+    m = platform.size
+    solver = "greedy-split-replicate-min-latency"
+    cache = EvaluationCache(application, platform)
+    if recorder is not None:
+        recorder.observe_cache(cache)
     best: SolverResult | None = None
-    for cand in _warm_results(
-        application, platform, warm_starts, "greedy-split-replicate-min-latency"
-    ):
-        if cand.failure_probability > fp_threshold + slack:
+    for cand in _warm_results(cache, warm_starts, solver):
+        if cand.failure_probability > bound:
             continue
         if best is None or (
             (cand.latency, cand.failure_probability)
@@ -437,96 +344,55 @@ def greedy_minimize_latency(
         ):
             best = cand
 
-    for p in range(1, min(n, m) + 1):
-        intervals = balanced_partition(application, p)
-        if len(intervals) < p:
+    for p, seed, mapping in _constructions(application, platform):
+        if recorder is not None:
+            recorder.emit(
+                "construct",
+                p=p,
+                seed=seed,
+                mapping=mapping_to_dict(mapping),
+                latency=cache.latency(mapping),
+            )
+
+        used = mapping.used_processors
+        unused = [u for u in range(1, m + 1) if u not in used]
+        while cache.failure_probability(mapping) > bound and unused:
+            current_fp = cache.failure_probability(mapping)
+            current_lat = cache.latency(mapping)
+            best_score = float("inf")
+            best_choice: tuple[int, int, frozenset[int]] | None = None
+            for u, j, allocation in _trials(mapping, unused):
+                trial_lat, trial_fp = cache.objectives_with(mapping, j, allocation)
+                fp_gain = current_fp - trial_fp
+                if fp_gain <= 0:
+                    continue
+                score = max(trial_lat - current_lat, 0.0) / fp_gain
+                if score < best_score:
+                    best_score = score
+                    best_choice = (u, j, allocation)
+            if best_choice is None:
+                break
+            u, j, allocation = best_choice
+            mapping = _enrolled(mapping, j, allocation)
+            unused.remove(u)
+            if recorder is not None:
+                recorder.emit("enroll", p=p, seed=seed, u=u, j=j, score=best_score)
+
+        fp = cache.failure_probability(mapping)
+        if fp > bound:
             continue
-        for seed_fn in (_seed_allocations, _seed_allocations_reliable):
-            allocations = seed_fn(application, platform, intervals)
-            mapping = _mapping(intervals, allocations)
-            if recorder is not None:
-                recorder.emit(
-                    "construct",
-                    p=p,
-                    seed=seed_fn.__name__,
-                    mapping=mapping_to_dict(mapping),
-                    latency=latency(mapping, application, platform),
-                )
-
-            used = set().union(*allocations)
-            unused = [u for u in range(1, m + 1) if u not in used]
-            while (
-                failure_probability(mapping, platform) > fp_threshold + slack
-                and unused
-            ):
-                current_fp = failure_probability(mapping, platform)
-                current_lat = latency(mapping, application, platform)
-                trial_rows = _latency_trial_candidates(
-                    evaluator,
-                    application,
-                    intervals,
-                    allocations,
-                    unused,
-                    current_fp,
-                    current_lat,
-                )
-                best_score = float("inf")
-                best_choice: tuple[int, int, IntervalMapping] | None = None
-                for u, j in trial_rows:
-                    trial_allocs = [set(a) for a in allocations]
-                    trial_allocs[j].add(u)
-                    trial = _mapping(intervals, trial_allocs)
-                    fp_gain = current_fp - failure_probability(trial, platform)
-                    if fp_gain <= 0:
-                        continue
-                    lat_cost = max(
-                        latency(trial, application, platform) - current_lat,
-                        0.0,
-                    )
-                    score = lat_cost / fp_gain
-                    if score < best_score:
-                        best_score = score
-                        best_choice = (u, j, trial)
-                if best_choice is None:
-                    break
-                u, j, mapping = best_choice
-                allocations[j].add(u)
-                unused.remove(u)
-                if recorder is not None:
-                    recorder.emit(
-                        "enroll",
-                        p=p,
-                        seed=seed_fn.__name__,
-                        u=u,
-                        j=j,
-                        score=best_score,
-                    )
-
-            fp = failure_probability(mapping, platform)
-            if fp > fp_threshold + slack:
-                continue
-            lat = latency(mapping, application, platform)
-            if recorder is not None:
-                recorder.emit(
-                    "candidate",
-                    p=p,
-                    seed=seed_fn.__name__,
-                    latency=lat,
-                    fp=fp,
-                )
-            cand = SolverResult(
+        lat = cache.latency(mapping)
+        if recorder is not None:
+            recorder.emit("candidate", p=p, seed=seed, latency=lat, fp=fp)
+        if best is None or (lat, fp) < (best.latency, best.failure_probability):
+            best = SolverResult(
                 mapping=mapping,
                 latency=lat,
                 failure_probability=fp,
-                solver="greedy-split-replicate-min-latency",
+                solver=solver,
                 optimal=False,
-                extras={"intervals": p, "seed": seed_fn.__name__},
+                extras={"intervals": p, "seed": seed},
             )
-            if best is None or (
-                (cand.latency, cand.failure_probability)
-                < (best.latency, best.failure_probability)
-            ):
-                best = cand
 
     if best is None:
         raise InfeasibleProblemError(
@@ -534,53 +400,3 @@ def greedy_minimize_latency(
             f"{fp_threshold}"
         )
     return best
-
-
-def _latency_trial_candidates(
-    evaluator: BulkEvaluator | None,
-    application: PipelineApplication,
-    intervals: list[StageInterval],
-    allocations: list[set[int]],
-    unused: list[int],
-    current_fp: float,
-    current_lat: float,
-) -> list[tuple[int, int]]:
-    """The ``(u, j)`` trials one min-latency repair round must score.
-
-    Bulk mode bounds each trial's latency-per-FP-gain score from both
-    sides (margins cover the bulk/scalar tolerance): trials whose lower
-    bound exceeds the best upper bound can never win the round and are
-    dropped; trials whose FP gain is surely non-positive are dropped
-    outright.  The scalar winner always survives.
-    """
-    p = len(intervals)
-    grid = [(u, j) for u in unused for j in range(p)]
-    if evaluator is None:
-        return grid
-
-    import numpy as np
-
-    from .bulk import margin, value_margin
-
-    lats, fps = _bulk_trial_scores(
-        evaluator, application, intervals, allocations, unused
-    )
-    gains = current_fp - fps
-    costs = np.maximum(lats - current_lat, 0.0)
-    gain_slack = value_margin(current_fp)
-    lat_slack = margin(current_lat)
-    surely_positive = gains - gain_slack > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        upper = np.where(
-            surely_positive,
-            (costs + lat_slack) / np.maximum(gains - gain_slack, 1e-300),
-            np.inf,
-        )
-        lower = np.where(
-            gains + gain_slack > 0,
-            np.maximum(costs - lat_slack, 0.0) / (gains + gain_slack),
-            np.inf,
-        )
-    best_upper = float(upper.min()) if len(upper) else float("inf")
-    keep = (gains + gain_slack > 0) & (lower <= best_upper)
-    return [grid[int(i)] for i in np.flatnonzero(keep)]

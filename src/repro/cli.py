@@ -333,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--use-bulk",
         choices=["auto", "on", "off"],
         default="auto",
-        help="evaluation path for the recorded run (auto = solver default)",
+        help="evaluation path for the recorded run (auto = solver default; "
+        "on/off only for solvers with a bulk path)",
     )
     replay.add_argument(
         "--record-cache",
@@ -1061,6 +1062,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    import inspect
     import json
 
     from .api import (
@@ -1163,6 +1165,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 threshold = max(0.9, 2.0 * base.failure_probability)
         opts = {}
         if args.use_bulk != "auto":
+            if "use_bulk" not in inspect.signature(spec.func).parameters:
+                print(
+                    f"error: solver {args.solver!r} has no bulk evaluation "
+                    f"path; drop --use-bulk"
+                )
+                return 2
             opts["use_bulk"] = args.use_bulk == "on"
         if spec.seeded:
             opts["seed"] = args.seed

@@ -84,10 +84,12 @@ def interval_reliability(platform: Platform, allocation: frozenset[int] | set[in
     """Probability ``1 - prod_{u in alloc} fp_u`` that an interval survives.
 
     An interval survives iff at least one of its replicas survives, i.e.
-    unless *all* of them fail.
+    unless *all* of them fail.  The product runs in ascending processor
+    order, so equal allocation sets give bit-identical values however
+    they were built.
     """
     prod = 1.0
-    for u in allocation:
+    for u in sorted(allocation):
         prod *= platform.failure_probability(u)
     return 1.0 - prod
 
@@ -107,14 +109,16 @@ def failure_probability(
     products ``p_j`` are tiny (e.g. the Theorem 7 gadgets, where
     ``p_j = exp(-S/2)``), so we accumulate ``sum_j log1p(-p_j)`` and
     return ``-expm1`` of it.  For a single interval this reproduces
-    ``prod_u fp_u`` to full precision.
+    ``prod_u fp_u`` to full precision.  Each product runs in ascending
+    processor order (as the bulk DP does), so mappings that compare
+    equal score bit-identical FP.
     """
     if application is not None:
         validate_mapping(mapping, application, platform)
     log_success = 0.0
     for alloc in mapping.allocations:
         prod = 1.0
-        for u in alloc:
+        for u in sorted(alloc):
             prod *= platform.failure_probability(u)
         if prod >= 1.0:
             return 1.0  # some interval fails almost surely
@@ -573,6 +577,9 @@ class EvaluationCache:
         self._rel_terms: dict[frozenset[int], float] = {}
         # alloc_1 -> serialized input-send time (heterogeneous only)
         self._in_terms: dict[frozenset[int], float] = {}
+        # (mapping, rel terms, their running sums, lat terms, their running
+        # sums) of the last mapping objectives_with substituted into
+        self._base: tuple | None = None
         self.hits = 0
         self.misses = 0
         # optional per-lookup observer ``hook(term_kind, hit)`` with
@@ -645,7 +652,7 @@ class EvaluationCache:
         if term is None:
             self.misses += 1
             prod = 1.0
-            for u in alloc:
+            for u in sorted(alloc):
                 prod *= self._fps[u - 1]
             term = math.log1p(-prod) if prod < 1.0 else -math.inf
             self._rel_terms[alloc] = term
@@ -776,3 +783,111 @@ class EvaluationCache:
             failure_probability=self.failure_probability(mapping),
             mapping=mapping,
         )
+
+    # ------------------------------------------------------------------
+    # one-interval substitutions
+    # ------------------------------------------------------------------
+    def _base_terms(self, mapping: IntervalMapping) -> tuple:
+        """Per-interval terms of ``mapping`` and their running sums.
+
+        ``rel_sums[k]`` / ``lat_sums[k]`` hold the objective folds over
+        the terms before interval ``k`` (heterogeneous latency starts
+        from the input term).  Kept for the most recent mapping object,
+        so scoring many substitutions of one mapping looks its
+        unchanged terms up once.
+        """
+        base = self._base
+        if base is not None and base[0] is mapping:
+            return base
+        intervals = mapping.intervals
+        allocations = mapping.allocations
+        rel = [self._rel_term(alloc) for alloc in allocations]
+        rel_sums = [0.0]
+        for term in rel:
+            rel_sums.append(rel_sums[-1] + term)
+        if self._uniform:
+            lat: list = [
+                self._uniform_term(iv.start, iv.end, alloc)
+                for iv, alloc in zip(intervals, allocations)
+            ]
+            lat_sums = [0.0]
+            for comm, comp in lat:
+                total = lat_sums[-1]
+                total += comm
+                total += comp
+                lat_sums.append(total)
+        else:
+            p = len(intervals)
+            lat = [
+                self._het_term(
+                    iv.start,
+                    iv.end,
+                    allocations[j],
+                    allocations[j + 1] if j + 1 < p else None,
+                )
+                for j, iv in enumerate(intervals)
+            ]
+            lat_sums = [self._input_term(allocations[0])]
+            for term in lat:
+                lat_sums.append(lat_sums[-1] + term)
+        base = (mapping, rel, rel_sums, lat, lat_sums)
+        self._base = base
+        return base
+
+    def objectives_with(
+        self, mapping: IntervalMapping, j: int, allocation: frozenset[int]
+    ) -> tuple[float, float]:
+        """``(latency, failure probability)`` of ``mapping`` with interval
+        ``j``'s allocation replaced by ``allocation``.
+
+        The substitution changes one FP term, one eq. (1) term or at most
+        two eq. (2) terms (interval ``j`` and the sends into it from
+        interval ``j-1``), plus the input term when ``j == 0``.  Only
+        those are looked up per call; the rest come from the folds of
+        ``mapping``'s own terms, kept while consecutive calls pass the
+        same mapping object.  Terms are added in the order
+        :meth:`latency` and :meth:`failure_probability` use, so both
+        values are bit-identical to evaluating the substituted mapping
+        (a machine-checked property).  ``allocation`` must be disjoint
+        from the other intervals' allocations (checked only when the
+        cache was built with ``check=True``).
+        """
+        if self.check:
+            allocations = list(mapping.allocations)
+            allocations[j] = allocation
+            self._check_compatible(IntervalMapping(mapping.intervals, allocations))
+        _, rel, rel_sums, lat, lat_sums = self._base_terms(mapping)
+        p = len(rel)
+        # an interval that surely fails contributes -inf, and
+        # -expm1(-inf) is exactly the 1.0 failure_probability returns
+        log_success = rel_sums[j] + self._rel_term(allocation)
+        for term in rel[j + 1 :]:
+            log_success += term
+        iv = mapping.intervals[j]
+        if self._uniform:
+            comm, comp = self._uniform_term(iv.start, iv.end, allocation)
+            total = lat_sums[j]
+            total += comm
+            total += comp
+            for comm, comp in lat[j + 1 :]:
+                total += comm
+                total += comp
+            total += self._final_term
+        else:
+            allocations = mapping.allocations
+            if j == 0:
+                total = self._input_term(allocation)
+            else:
+                prev = mapping.intervals[j - 1]
+                total = lat_sums[j - 1] + self._het_term(
+                    prev.start, prev.end, allocations[j - 1], allocation
+                )
+            total += self._het_term(
+                iv.start,
+                iv.end,
+                allocation,
+                allocations[j + 1] if j + 1 < p else None,
+            )
+            for term in lat[j + 1 :]:
+                total += term
+        return total, -math.expm1(log_success)

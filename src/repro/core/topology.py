@@ -202,12 +202,15 @@ class HeterogeneousTopology(LinkTopology):
                         f"({self._links[u][v]}) != b_{v + 1},{u + 1} "
                         f"({self._links[v][u]})"
                     )
+        candidates = list(self._bin) + list(self._bout)
+        for u in range(m):
+            for v in range(m):
+                if u != v:
+                    candidates.append(self._links[u][v])
+        # the bandwidths are immutable tuples and every scalar latency
+        # call asks, so uniformity is decided once here
+        self._is_uniform = len(set(candidates)) == 1
         if in_out_bandwidth is None:
-            candidates = list(self._bin) + list(self._bout)
-            for u in range(m):
-                for v in range(m):
-                    if u != v:
-                        candidates.append(self._links[u][v])
             in_out_bandwidth = max(candidates)
         self._b_in_out = _check_bandwidth(in_out_bandwidth, "b_in,out")
 
@@ -230,13 +233,7 @@ class HeterogeneousTopology(LinkTopology):
 
     @property
     def is_uniform(self) -> bool:
-        values = set(self._bin) | set(self._bout)
-        m = self.num_processors
-        for u in range(m):
-            for v in range(m):
-                if u != v:
-                    values.add(self._links[u][v])
-        return len(values) == 1
+        return self._is_uniform
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HeterogeneousTopology):

@@ -412,6 +412,9 @@ _spec(
 # PR 5) — defaults unchanged, but the option surface changed again
 # v3 (single-interval) / v4 (the rest): recorder option (record/replay,
 # PR 6) — results unchanged, option surface changed
+# v5 (greedy): trials scored from cached interval terms, use_bulk and
+# bulk_backend options removed — mappings unchanged, FP products now in
+# ascending processor order (at most 1 ulp apart), option surface changed
 _spec(
     name="single-interval-min-fp",
     func=heuristics.single_interval_minimize_fp,
@@ -441,7 +444,7 @@ _spec(
     warm_startable=True,
     recordable=True,
     description="constructive split-and-replicate (latency bound)",
-    version=4,
+    version=5,
 )
 _spec(
     name="greedy-min-latency",
@@ -452,7 +455,7 @@ _spec(
     warm_startable=True,
     recordable=True,
     description="constructive split-and-replicate (FP bound)",
-    version=4,
+    version=5,
 )
 _spec(
     name="local-search-min-fp",

@@ -1,13 +1,14 @@
 """Scalar <-> bulk equivalence for the heuristics' candidate pools.
 
-The PR 4 contract: with ``use_bulk`` on, every heuristic must take
-*identical decisions* to the scalar path — same accepted-move sequence
-(local search, annealing), same enrolment sequence (greedy), same grid
-winner (single-interval) — because bulk scores only prefilter and all
-decisions happen on scalar-exact values.  These tests assert that
-bit-for-bit, including the m > MASK_TABLE_LIMIT shapes where the bulk
-evaluator falls back from per-bitmask tables to the boolean bit-matrix
-kernel.
+The contract: with ``use_bulk`` on, every heuristic with a bulk path
+must take *identical decisions* to the scalar path — same accepted-move
+sequence (local search, annealing), same grid winner (single-interval)
+— because bulk scores only prefilter and all decisions happen on
+scalar-exact values.  These tests assert that bit-for-bit, including
+the m > MASK_TABLE_LIMIT shapes where the bulk evaluator falls back from
+per-bitmask tables to the boolean bit-matrix kernel.  Greedy has no bulk
+path: it scores trials from cached interval terms, tested against its
+scalar reference loop in ``test_greedy.py``.
 """
 
 import random
@@ -22,8 +23,6 @@ from repro.algorithms.heuristics import (
     AnnealingSchedule,
     anneal_minimize_fp,
     anneal_minimize_latency,
-    greedy_minimize_fp,
-    greedy_minimize_latency,
     local_search_minimize_fp,
     local_search_minimize_latency,
     neighbor_block,
@@ -252,44 +251,8 @@ class TestAnnealingEquivalence:
 
 
 # ----------------------------------------------------------------------
-# greedy and single-interval selection
+# single-interval selection
 # ----------------------------------------------------------------------
-class TestGreedyEquivalence:
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("seed", range(3))
-    def test_min_fp_identical(self, kind, seed):
-        app, plat = make_instance(kind, n=6, m=5, seed=seed)
-        threshold = _loose_latency_threshold(app, plat)
-        scalar = greedy_minimize_fp(app, plat, threshold, use_bulk=False)
-        bulk = greedy_minimize_fp(app, plat, threshold, use_bulk=True)
-        _assert_identical(scalar, bulk)
-
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("seed", range(3))
-    def test_min_latency_identical(self, kind, seed):
-        app, plat = make_instance(kind, n=6, m=5, seed=seed)
-        for bound in (0.95, 0.5):
-            try:
-                scalar = greedy_minimize_latency(
-                    app, plat, bound, use_bulk=False
-                )
-            except InfeasibleProblemError:
-                with pytest.raises(InfeasibleProblemError):
-                    greedy_minimize_latency(app, plat, bound, use_bulk=True)
-                continue
-            bulk = greedy_minimize_latency(app, plat, bound, use_bulk=True)
-            _assert_identical(scalar, bulk)
-
-    def test_wide_platform_identical(self):
-        plat = _wide_platform(seed=5)
-        app, _ = make_instance("comm-homogeneous", n=8, m=4, seed=4)
-        threshold = _loose_latency_threshold(app, plat)
-        _assert_identical(
-            greedy_minimize_fp(app, plat, threshold, use_bulk=False),
-            greedy_minimize_fp(app, plat, threshold, use_bulk=True),
-        )
-
-
 class TestSingleIntervalEquivalence:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("seed", range(3))
@@ -338,7 +301,6 @@ class TestRecordedTrajectoryEquivalence:
         ("solver", "opts"),
         [
             ("single-interval-min-fp", {}),
-            ("greedy-min-fp", {}),
             ("local-search-min-fp", {"seed": 11}),
             ("anneal-min-fp", {"seed": 11}),
         ],
@@ -372,7 +334,6 @@ class TestUseBulkKnob:
         for fn in (
             local_search_minimize_fp,
             anneal_minimize_fp,
-            greedy_minimize_fp,
             single_interval_minimize_fp,
         ):
             with pytest.raises(SolverError, match="requires numpy"):
@@ -385,8 +346,10 @@ class TestUseBulkKnob:
         app, plat = make_instance("comm-homogeneous", n=4, m=3, seed=0)
         threshold = _loose_latency_threshold(app, plat)
         # use_bulk=None silently takes the scalar path
-        result = greedy_minimize_fp(app, plat, threshold, use_bulk=None)
-        assert result.mapping == greedy_minimize_fp(
+        result = single_interval_minimize_fp(
+            app, plat, threshold, use_bulk=None
+        )
+        assert result.mapping == single_interval_minimize_fp(
             app, plat, threshold, use_bulk=False
         ).mapping
 
@@ -421,7 +384,6 @@ class TestBackendKnob:
         for fn in (
             local_search_minimize_fp,
             anneal_minimize_fp,
-            greedy_minimize_fp,
             single_interval_minimize_fp,
         ):
             with pytest.raises(SolverError, match="requires numba"):
@@ -431,7 +393,7 @@ class TestBackendKnob:
         app, plat = make_instance("comm-homogeneous", n=4, m=3, seed=0)
         threshold = _loose_latency_threshold(app, plat)
         with pytest.raises(SolverError, match="unknown bulk backend"):
-            greedy_minimize_fp(
+            single_interval_minimize_fp(
                 app, plat, threshold, use_bulk=True, bulk_backend="cuda"
             )
 
@@ -477,12 +439,13 @@ class TestJitBackendTrajectories:
         assert t_s == t_b and t_s
         _assert_identical(scalar, bulk)
 
-    def test_greedy_and_single_interval_winners_identical(self):
+    def test_single_interval_winners_identical(self):
         app, plat = make_instance("fully-heterogeneous", n=5, m=4, seed=3)
         threshold = _loose_latency_threshold(app, plat)
-        for fn in (greedy_minimize_fp, single_interval_minimize_fp):
-            scalar = fn(app, plat, threshold, use_bulk=False)
-            jit = fn(
-                app, plat, threshold, use_bulk=True, bulk_backend="jit"
-            )
-            _assert_identical(scalar, jit)
+        scalar = single_interval_minimize_fp(
+            app, plat, threshold, use_bulk=False
+        )
+        jit = single_interval_minimize_fp(
+            app, plat, threshold, use_bulk=True, bulk_backend="jit"
+        )
+        _assert_identical(scalar, jit)

@@ -81,6 +81,55 @@ class TestFailureProbability:
             failure_probability(mapping, plat, app)
 
 
+class TestFailureProductOrder:
+    """Equal mappings score bit-identical FP however their sets were
+    built.  For processor indices >= 9, frozenset iteration order
+    depends on insertion order (9 shares a hash bucket with 1 in an
+    8-slot table), so products taken in iteration order differed by an
+    ulp and an EvaluationCache returned whichever value it saw first."""
+
+    @pytest.fixture
+    def wide(self):
+        from repro.workloads.scenarios import make_scenario
+
+        return make_scenario(
+            "wide-pipeline",
+            seed=0,
+            params={"stages": 4, "num_processors": 17},
+        )
+
+    def test_insertion_order_does_not_change_fp(self, wide):
+        from repro.core import EvaluationCache
+
+        app, plat = wide
+        forward = IntervalMapping([(1, 4)], [(1, 4, 9)])
+        backward = IntervalMapping([(1, 4)], [(9, 4, 1)])
+        assert forward == backward
+        # the two sets really iterate differently
+        assert list(forward.allocations[0]) != list(backward.allocations[0])
+        fp = failure_probability(forward, plat)
+        assert failure_probability(backward, plat) == fp
+        assert interval_reliability(
+            plat, forward.allocations[0]
+        ) == interval_reliability(plat, backward.allocations[0])
+        for first, second in ((forward, backward), (backward, forward)):
+            cache = EvaluationCache(app, plat)
+            assert cache.failure_probability(first) == fp
+            assert cache.failure_probability(second) == fp
+
+    def test_product_runs_in_ascending_processor_order(self, wide):
+        _, plat = wide
+        fps = plat.failure_probabilities
+        expected = 1.0
+        for u in (1, 4, 9):
+            expected *= fps[u - 1]
+        mapping = IntervalMapping([(1, 4)], [(9, 4, 1)])
+        assert failure_probability(mapping, plat) == -math.expm1(
+            math.log1p(-expected)
+        )
+        assert interval_reliability(plat, {9, 4, 1}) == 1.0 - expected
+
+
 class TestLatencyUniform:
     def test_single_interval_single_processor(self):
         app = PipelineApplication(works=(4, 6), volumes=(8, 4, 2))

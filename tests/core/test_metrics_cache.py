@@ -6,6 +6,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     EvaluationCache,
@@ -267,3 +268,134 @@ class TestSharedTerms:
             seeded.evaluate(pool[0])
             assert seeded.misses == 0
         metrics.clear_shared_terms()
+
+
+# ----------------------------------------------------------------------
+# one-interval substitutions (objectives_with)
+# ----------------------------------------------------------------------
+def _substituted(mapping, j, allocation):
+    allocations = list(mapping.allocations)
+    allocations[j] = allocation
+    return IntervalMapping(mapping.intervals, allocations)
+
+
+def _assert_substitutions_exact(cache, app, platform, mapping, draw_allocation):
+    """Every interval of ``mapping`` (first and last included) scored
+    with a drawn replacement allocation, against the plain functions."""
+    used = mapping.used_processors
+    free = [u for u in range(1, platform.size + 1) if u not in used]
+    for j, own in enumerate(mapping.allocations):
+        allocation = draw_allocation(sorted(own) + free)
+        trial = _substituted(mapping, j, allocation)
+        assert cache.objectives_with(mapping, j, allocation) == (
+            latency(trial, app, platform, one_port=cache.one_port),
+            failure_probability(trial, platform),
+        )
+
+
+class TestObjectivesWith:
+    @given(app_platform_mapping(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_substituted_mapping_exactly(self, triple, data):
+        """Bit-for-bit agreement for every interval index, any
+        platform class, replacement sets that grow, shrink or swap."""
+        app, platform, mapping = triple
+        cache = EvaluationCache(app, platform)
+
+        def draw_allocation(pool):
+            return frozenset(
+                data.draw(
+                    st.lists(
+                        st.sampled_from(pool), min_size=1, unique=True
+                    )
+                )
+            )
+
+        _assert_substitutions_exact(cache, app, platform, mapping, draw_allocation)
+
+    @given(
+        app_platform_mapping(
+            fully_heterogeneous_platforms(min_processors=2, max_processors=5)
+        ),
+        st.data(),
+    )
+    @settings(max_examples=75, deadline=None)
+    def test_heterogeneous_multi_port(self, triple, data):
+        app, platform, mapping = triple
+        cache = EvaluationCache(app, platform, one_port=False)
+
+        def draw_allocation(pool):
+            return frozenset(
+                data.draw(
+                    st.lists(
+                        st.sampled_from(pool), min_size=1, unique=True
+                    )
+                )
+            )
+
+        _assert_substitutions_exact(cache, app, platform, mapping, draw_allocation)
+
+    @given(mapping_walks(steps=3))
+    @settings(max_examples=60, deadline=None)
+    def test_interleaved_base_mappings(self, walk_triple):
+        """Switching between base mappings (and back) never serves one
+        mapping's folds for another."""
+        app, platform, walk = walk_triple
+        cache = EvaluationCache(app, platform)
+        for mapping in walk + walk[::-1]:
+            own = mapping.allocations
+            for j in (0, len(own) - 1):
+                trial = _substituted(mapping, j, own[j])
+                assert cache.objectives_with(mapping, j, own[j]) == (
+                    latency(trial, app, platform),
+                    failure_probability(trial, platform),
+                )
+
+    @pytest.mark.parametrize("kind", ["uniform", "heterogeneous"])
+    def test_surely_failing_interval(self, kind):
+        """An interval whose replicas all fail surely gives FP = 1,
+        whether the substitution creates, keeps or repairs it."""
+        app = PipelineApplication(
+            works=(2.0, 1.0, 3.0), volumes=(1.0, 2.0, 1.0, 1.0)
+        )
+        fps = [1.0, 1.0, 0.3, 0.2, 0.5]
+        speeds = [1.0, 2.0, 3.0, 1.5, 2.5]
+        if kind == "uniform":
+            platform = Platform.communication_homogeneous(
+                speeds, bandwidth=2.0, failure_probabilities=fps
+            )
+        else:
+            links = [[1.0 + u + v for v in range(5)] for u in range(5)]
+            platform = Platform.fully_heterogeneous(
+                speeds, [1.0, 2.0, 3.0, 4.0, 5.0], [5.0, 4.0, 3.0, 2.0, 1.0],
+                links, failure_probabilities=fps,
+            )
+        healthy = IntervalMapping([(1, 1), (2, 2), (3, 3)], [{3}, {4}, {5}])
+        failing = IntervalMapping([(1, 1), (2, 2), (3, 3)], [{1}, {4}, {5}])
+        cache = EvaluationCache(app, platform)
+        cases = [
+            (healthy, 0, frozenset({1, 2})),  # creates it (j = 0)
+            (healthy, 2, frozenset({1})),  # creates it (j = p - 1)
+            (failing, 2, frozenset({5, 2})),  # keeps it elsewhere
+            (failing, 0, frozenset({1, 3})),  # repairs it
+        ]
+        for mapping, j, allocation in cases:
+            trial = _substituted(mapping, j, allocation)
+            lat, fp = cache.objectives_with(mapping, j, allocation)
+            assert lat == latency(trial, app, platform)
+            assert fp == failure_probability(trial, platform)
+            assert (fp == 1.0) == (allocation != frozenset({1, 3}))
+
+    def test_check_flag_validates_the_substituted_mapping(self):
+        app = PipelineApplication(works=(1.0, 1.0), volumes=(1.0, 1.0, 1.0))
+        platform = Platform.fully_homogeneous(3, failure_probability=0.1)
+        mapping = IntervalMapping([(1, 1), (2, 2)], [{1}, {2}])
+        cache = EvaluationCache(app, platform, check=True)
+        assert cache.objectives_with(mapping, 1, frozenset({2, 3})) == (
+            cache.latency(_substituted(mapping, 1, {2, 3})),
+            cache.failure_probability(_substituted(mapping, 1, {2, 3})),
+        )
+        with pytest.raises(InvalidMappingError):
+            cache.objectives_with(mapping, 1, frozenset({2, 7}))
+        with pytest.raises(InvalidMappingError):
+            cache.objectives_with(mapping, 1, frozenset({1, 2}))

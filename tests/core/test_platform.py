@@ -1,5 +1,7 @@
 """Unit tests for processors, topologies and platform classification."""
 
+import pickle
+
 import pytest
 
 from repro.core import (
@@ -132,6 +134,32 @@ class TestHeterogeneousTopology:
             in_bandwidths=[2.0, 2.0],
             out_bandwidths=[2.0, 2.0],
             link_bandwidths=[[9.0, 2.0], [2.0, 9.0]],
+        )
+        assert topo.is_uniform
+
+    @pytest.mark.parametrize("odd_one_out", ["in", "out", "link"])
+    def test_any_differing_bandwidth_breaks_uniformity(self, odd_one_out):
+        m = 3
+        bin_ = [2.0] * m
+        bout = [2.0] * m
+        links = [[2.0] * m for _ in range(m)]
+        if odd_one_out == "in":
+            bin_[2] = 3.0
+        elif odd_one_out == "out":
+            bout[0] = 3.0
+        else:
+            links[0][2] = links[2][0] = 3.0
+        topo = HeterogeneousTopology(bin_, bout, links)
+        assert not topo.is_uniform
+        # decided once at construction and carried through pickling
+        # (pool workers receive pickled platforms)
+        assert not pickle.loads(pickle.dumps(topo)).is_uniform
+
+    def test_in_out_link_does_not_affect_uniformity(self):
+        # P_in -> P_out never appears in a latency formula
+        topo = HeterogeneousTopology(
+            [2.0, 2.0], [2.0, 2.0], [[1.0, 2.0], [2.0, 1.0]],
+            in_out_bandwidth=7.0,
         )
         assert topo.is_uniform
 

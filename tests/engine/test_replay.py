@@ -18,6 +18,13 @@ HEURISTICS = [
     "local-search-min-fp",
     "anneal-min-fp",
 ]
+#: heuristics with a bulk evaluation path (a ``use_bulk`` option);
+#: greedy scores its trials from cached interval terms instead
+BULK_HEURISTICS = [s for s in HEURISTICS if s != "greedy-min-fp"]
+#: every (solver, use_bulk) leg; None leaves the option out
+PATHS = [(s, b) for s in BULK_HEURISTICS for b in (False, True)] + [
+    ("greedy-min-fp", None)
+]
 
 
 @pytest.fixture
@@ -25,18 +32,17 @@ def instance():
     return make_instance("comm-homogeneous", 4, 3, 0)
 
 
-def _record(solver, instance, *, use_bulk, threshold=40.0, **extra):
+def _record(solver, instance, *, use_bulk=None, threshold=40.0, **extra):
     if use_bulk:
         pytest.importorskip("numpy", exc_type=ImportError)
+    if use_bulk is not None:
+        extra["use_bulk"] = use_bulk
     app, plat = instance
-    return record_run(
-        solver, app, plat, threshold, use_bulk=use_bulk, **extra
-    )
+    return record_run(solver, app, plat, threshold, **extra)
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("use_bulk", [False, True])
-    @pytest.mark.parametrize("solver", HEURISTICS)
+    @pytest.mark.parametrize(("solver", "use_bulk"), PATHS)
     def test_heuristics_replay_without_divergence(
         self, solver, use_bulk, instance
     ):
@@ -85,7 +91,7 @@ class TestScalarVsBulk:
         # use_bulk, which is exactly why it sits in DEFAULT_IGNORE
         assert not diff_runs(scalar, bulk, ignore=()).ok
 
-    @pytest.mark.parametrize("solver", HEURISTICS)
+    @pytest.mark.parametrize("solver", BULK_HEURISTICS)
     def test_all_heuristic_paths_agree(self, solver, instance):
         opts = {"seed": 3} if solver in (
             "local-search-min-fp",
@@ -159,7 +165,7 @@ class TestDivergenceDiagnostics:
         assert events[target] in divergence.window_got
 
     def test_truncated_log_reports_truncation(self, instance):
-        _, recording = _record("greedy-min-fp", instance, use_bulk=False)
+        _, recording = _record("greedy-min-fp", instance)
         compared = self._compared(recording)
         report = diff_runs(recording, compared[:-1])
         assert report.status is ReplayStatus.TRUNCATED
@@ -173,7 +179,7 @@ class TestDivergenceDiagnostics:
         assert report.events_compared == 0
 
     def test_stale_solver_version_short_circuits(self, instance):
-        _, recording = _record("greedy-min-fp", instance, use_bulk=False)
+        _, recording = _record("greedy-min-fp", instance)
         stale = dataclasses.replace(
             recording, solver_version=recording.solver_version + 1
         )

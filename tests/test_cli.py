@@ -600,3 +600,20 @@ class TestReplayCommand:
         ]
         assert main(argv) == 0
         assert "match" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("use_bulk", ["on", "off"])
+    def test_use_bulk_for_solver_without_bulk_path(
+        self, capsys, tmp_path, use_bulk
+    ):
+        store = tmp_path / "rec.json"
+        for action in ("verify", "record"):
+            argv = [
+                "replay", action, "--solver", "greedy-min-fp",
+                "--use-bulk", use_bulk, "--store", str(store),
+            ]
+            assert main(argv) == 2
+            out = capsys.readouterr().out
+            assert "'greedy-min-fp'" in out and "--use-bulk" in out
+        assert main(
+            ["replay", "verify", "--solver", "greedy-min-fp"]
+        ) == 0
