@@ -256,27 +256,34 @@ def _outcome_to_record(outcome: BatchOutcome) -> dict[str, Any]:
     }
 
 
+def _record_fields(record: Mapping[str, Any]) -> dict[str, Any]:
+    """The :class:`BatchOutcome` fields a stored record carries."""
+    result = record.get("result")
+    kind = record.get("error_kind")
+    return {
+        "result": solver_result_from_dict(result) if result else None,
+        "error": record.get("error"),
+        "elapsed": record.get("elapsed", 0.0),
+        "error_kind": ErrorKind(kind) if kind else None,
+        "attempts": record.get("attempts", 1),
+    }
+
+
 def _outcome_from_record(
     record: Mapping[str, Any], index: int, task: BatchTask
 ) -> BatchOutcome:
-    result = record.get("result")
-    kind = record.get("error_kind")
     return BatchOutcome(
         index=index,
         solver=task.solver,
         tag=task.tag,
-        result=solver_result_from_dict(result) if result else None,
-        error=record.get("error"),
-        elapsed=record.get("elapsed", 0.0),
         task=task,
-        error_kind=ErrorKind(kind) if kind else None,
-        attempts=record.get("attempts", 1),
         cached=True,
+        **_record_fields(record),
     )
 
 
 def _validated_record(
-    record: Mapping[str, Any] | None, task: BatchTask
+    record: Mapping[str, Any] | None, solver: str
 ) -> Mapping[str, Any] | None:
     """Reject a stored record whose solver version is stale.
 
@@ -291,10 +298,10 @@ def _validated_record(
     if record is None:
         return None
     stored = record.get("solver_version")
-    expected = get_solver(task.solver).version
+    expected = get_solver(solver).version
     if stored is not None and stored != expected:
         warnings.warn(
-            f"store record for solver {task.solver!r} carries version "
+            f"store record for solver {solver!r} carries version "
             f"{stored} but the registered solver is version {expected}; "
             f"ignoring the stale entry and re-solving",
             stacklevel=3,
@@ -416,7 +423,7 @@ def iter_batch(
             index, task, opts, _ = payload
             key = _task_key(task, opts)
             record = store.get(key) if key is not None else None
-            record = _validated_record(record, task)
+            record = _validated_record(record, task.solver)
             if record is not None:
                 ready[index] = _outcome_from_record(record, index, task)
             else:
@@ -829,7 +836,7 @@ def iter_graph(
             opts = _effective_opts(node.task, idx, seed)
             key = _task_key(node.task, opts)
             record = store.get(key) if key is not None else None
-            record = _validated_record(record, node.task)
+            record = _validated_record(record, node.task.solver)
             prefetched[node.name] = (
                 _outcome_from_record(record, pos, node.task)
                 if record is not None
@@ -878,7 +885,7 @@ def iter_graph(
         if probe and node.runner is None and store is not None:
             key = _task_key(task, opts)
             record = store.get(key) if key is not None else None
-            record = _validated_record(record, task)
+            record = _validated_record(record, task.solver)
             if record is not None:
                 return ("hit", _outcome_from_record(record, pos, task))
         return (None, (pos, task, opts, policy))

@@ -865,7 +865,7 @@ def _cell_store_warm(
             key = _task_key(task, opts)
             if key is None:
                 return False
-            record = _validated_record(store.peek(key), task)
+            record = _validated_record(store.peek(key), task.solver)
             if record is None:
                 return False
             outcome = _outcome_from_record(record, pos, task)
@@ -877,7 +877,7 @@ def _cell_store_warm(
         key = _task_key(task, opts)
         if key is None:
             return False
-        if _validated_record(store.peek(key), task) is None:
+        if _validated_record(store.peek(key), task.solver) is None:
             return False
     return True
 

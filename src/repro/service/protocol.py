@@ -36,13 +36,16 @@ exactly like :class:`~repro.engine.batch.BatchOutcome`.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ..core.serialization import mapping_to_dict
-from ..engine.batch import BatchOutcome
-from ..engine.policy import BatchPolicy
+from ..engine.batch import BatchOutcome, _record_fields
+from ..engine.policy import BatchPolicy, ErrorKind
 from ..engine.sweeps import SPEC_SCHEMA_VERSION
 from ..exceptions import ReproError
+
+if TYPE_CHECKING:
+    from ..algorithms.result import SolverResult
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -54,6 +57,7 @@ __all__ = [
     "policy_from_request",
     "policy_to_wire",
     "outcome_event",
+    "stored_outcome_event",
     "done_event",
     "error_event",
     "encode_event",
@@ -257,31 +261,90 @@ def outcome_event(
     plus ``error``/``error_kind`` — it is a *result*, not a protocol
     error.
     """
+    return _outcome_event(
+        rid,
+        index=outcome.index if point_index is None else point_index,
+        tag=outcome.tag,
+        solver=outcome.solver,
+        threshold=outcome.task.threshold,
+        cached=outcome.cached,
+        instance=instance,
+        include_mapping=include_mapping,
+        result=outcome.result,
+        error=outcome.error,
+        error_kind=outcome.error_kind,
+        attempts=outcome.attempts,
+        elapsed=outcome.elapsed,
+    )
+
+
+def stored_outcome_event(
+    rid: str,
+    record: Mapping[str, Any],
+    *,
+    solver: str,
+    threshold: float | None,
+    tag: str,
+    include_mapping: bool = False,
+) -> dict[str, Any]:
+    """A single solve's store record as a wire event.
+
+    The event :func:`outcome_event` sends for the same record after a
+    worker-side store hit, built without the instance a
+    :class:`BatchOutcome` would have to carry.
+    """
+    return _outcome_event(
+        rid,
+        index=0,
+        tag=tag,
+        solver=solver,
+        threshold=threshold,
+        cached=True,
+        instance=tag,
+        include_mapping=include_mapping,
+        **_record_fields(record),
+    )
+
+
+def _outcome_event(
+    rid: str,
+    *,
+    index: int,
+    tag: str,
+    solver: str,
+    threshold: float | None,
+    cached: bool,
+    instance: str | None,
+    include_mapping: bool,
+    result: "SolverResult | None",
+    error: str | None,
+    error_kind: ErrorKind | None,
+    attempts: int,
+    elapsed: float,
+) -> dict[str, Any]:
     event: dict[str, Any] = {
         "event": "outcome",
         "id": rid,
-        "index": outcome.index if point_index is None else point_index,
-        "tag": outcome.tag,
-        "solver": outcome.solver,
-        "threshold": outcome.task.threshold,
-        "ok": outcome.ok,
-        "cached": outcome.cached,
-        "attempts": outcome.attempts,
-        "elapsed": outcome.elapsed,
+        "index": index,
+        "tag": tag,
+        "solver": solver,
+        "threshold": threshold,
+        "ok": result is not None,
+        "cached": cached,
+        "attempts": attempts,
+        "elapsed": elapsed,
     }
     if instance is not None:
         event["instance"] = instance
-    if outcome.result is not None:
-        event["latency"] = outcome.result.latency
-        event["failure_probability"] = outcome.result.failure_probability
-        event["optimal"] = outcome.result.optimal
+    if result is not None:
+        event["latency"] = result.latency
+        event["failure_probability"] = result.failure_probability
+        event["optimal"] = result.optimal
         if include_mapping:
-            event["mapping"] = mapping_to_dict(outcome.result.mapping)
+            event["mapping"] = mapping_to_dict(result.mapping)
     else:
-        event["error"] = outcome.error
-        event["error_kind"] = (
-            outcome.error_kind.value if outcome.error_kind else None
-        )
+        event["error"] = error
+        event["error_kind"] = error_kind.value if error_kind else None
     return event
 
 

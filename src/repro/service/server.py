@@ -3,41 +3,73 @@
 :class:`SolverService` is a long-lived server that accepts the
 versioned JSON requests of :mod:`repro.service.protocol` over two
 transports — NDJSON on a Unix socket and HTTP/1.1 on TCP (chunked
-NDJSON responses) — and executes them on a pool of worker threads that
-reuse the existing engine machinery (:func:`~repro.engine.batch
-.iter_batch` for single solves, :func:`~repro.engine.sweeps.iter_sweep`
-for plans).  All workers share **one** result store (wrapped in
+NDJSON responses).  All work shares **one** result store (wrapped in
 :class:`~repro.engine.store.ThreadSafeStore`), so concurrent clients
 dedupe against the same hot cache and a warm re-submit performs zero
 solver invocations.
 
+Where a request runs:
+
+* a ``solve`` whose store key this daemon has already resolved is
+  answered on the event loop.  The *key memo* maps a digest of the
+  request (solver, solver version, instance spec, threshold, opts,
+  seed) to its store key and instance tag; one store lookup fetches
+  the record, and ``accepted``, ``outcome`` and ``done`` go out at once
+  with ``queue_wait`` 0.  Such a hit never waits in the queue — it
+  skips priority ordering and ``queue-full`` — and never occupies a
+  worker.  The memo keeps at most ``_MEMO_SIZE`` entries, evicting the
+  oldest first, and holds no instances;
+* every other work request runs on a pool of worker threads.  A solve
+  builds its instance and derives its store key once, looks the key up
+  unless the loop already did (so each request counts exactly one
+  store hit or miss), runs a miss through the engine's task executor
+  (:func:`~repro.engine.batch._execute`: policy, retries, structured
+  error kinds) and writes a storable outcome back before it records
+  the key in the memo.  A sweep runs
+  :func:`~repro.engine.sweeps.iter_sweep`.
+
+Requests whose store key is not a pure function of the request never
+enter the memo: scenario specs without an integer ``seed`` (the
+generator draws from unseeded randomness), unseeded runs of a
+randomised solver, anything the loop cannot resolve (an unknown
+solver), and every request on a daemon without a store.
+
 Robustness model:
 
 * the request queue is bounded (``queue_size``) — an overflowing
-  submit is rejected immediately with a *retriable* ``queue-full``
-  error instead of growing without bound;
+  submit that needs a worker is rejected immediately with a
+  *retriable* ``queue-full`` error instead of growing without bound;
 * each accepted job streams events through a bounded per-job buffer
   (``event_buffer``); a slow-reading client blocks its *own* worker
-  (true backpressure), never the server's memory;
+  (true backpressure), never the server's memory.  A job's terminal
+  ``done`` or ``error`` event closes its stream;
 * higher ``priority`` requests dequeue first (FIFO within a
   priority);
 * :meth:`drain` (wired to SIGTERM by ``repro-pipeline serve``) stops
-  intake — new work requests get a retriable ``draining`` error while
-  queued and in-flight jobs run to completion, then
-  :meth:`serve_forever` returns;
+  intake — new work requests, store hits included, get a retriable
+  ``draining`` error while queued and in-flight jobs run to
+  completion, then :meth:`serve_forever` returns;
 * a crashing solver is a failed *outcome* (structured
   :class:`~repro.engine.policy.ErrorKind` on the event), and a
   crashing request handler is a terminal ``error`` event — neither
-  kills a worker.
+  kills a worker;
+* intake is bounded: a request line over ``MAX_LINE_BYTES`` gets a
+  ``bad-request`` error on either transport, and the HTTP front end
+  answers a declared body over ``MAX_LINE_BYTES`` or a header block
+  over ``MAX_HEADER_LINES`` lines or ``MAX_HEADER_BYTES`` bytes with a
+  400 before reading any further.
 
-Per-request ``policy`` timeouts degrade to unguarded execution here
-(SIGALRM needs the main thread; workers are threads) — retries and
-backoff still apply.
+The loop's store lookup waits on the store lock, so a store whose
+writes are slow stalls the loop for as long as a worker's write holds
+the lock.  Per-request ``policy`` timeouts degrade to unguarded
+execution here (SIGALRM needs the main thread; workers are threads) —
+retries and backoff still apply.
 """
 
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import itertools
 import json
 import math
@@ -50,8 +82,20 @@ from pathlib import Path
 from typing import Any, Awaitable, Callable, Mapping
 
 from ..core import metrics_kernels
-from ..engine.batch import BatchTask, iter_batch
+from ..core.serialization import canonical_json
+from ..engine.batch import (
+    BatchOutcome,
+    BatchTask,
+    _execute,
+    _outcome_from_record,
+    _outcome_to_record,
+    _prepare,
+    _storable,
+    _task_key,
+    _validated_record,
+)
 from ..engine.policy import BatchPolicy
+from ..engine.registry import get_solver
 from ..engine.store import ResultStore, ThreadSafeStore, open_store
 from ..engine.sweeps import SweepInstance, SweepPlan, iter_sweep
 from ..exceptions import ReproError
@@ -64,15 +108,26 @@ from .protocol import (
     error_event,
     outcome_event,
     policy_from_request,
+    stored_outcome_event,
     validate_request,
 )
 
-__all__ = ["SolverService"]
+__all__ = ["SolverService", "MAX_HEADER_LINES", "MAX_HEADER_BYTES"]
 
 _SendFn = Callable[[Mapping[str, Any]], Awaitable[None]]
 
-#: sentinel closing a job's event stream
-_END = None
+#: the events that end a job's stream
+_JOB_TERMINAL = frozenset({"done", "error"})
+
+#: key-memo capacity; an entry is three short strings, so a full memo
+#: stays around a megabyte
+_MEMO_SIZE = 4096
+
+#: HTTP header lines (request line excluded) accepted per request
+MAX_HEADER_LINES = 100
+
+#: HTTP request line plus header bytes accepted per request
+MAX_HEADER_BYTES = 64 * 1024
 
 
 @dataclass
@@ -82,7 +137,20 @@ class _Job:
     rid: str
     request: dict[str, Any]
     events: asyncio.Queue
+    #: key-memo digest of a memo-eligible solve, else None
+    digest: str | None = None
+    #: the event loop already looked the store key up (a miss)
+    probed: bool = False
     enqueued_at: float = field(default_factory=time.perf_counter)
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """One line from a client, or None when it is over the stream's
+    ``MAX_LINE_BYTES`` limit (``readline`` raises that as ValueError)."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        return None
 
 
 def _percentile(ordered: list[float], q: float) -> float:
@@ -104,10 +172,11 @@ class SolverService:
         without a cache.  Whatever arrives is wrapped in
         :class:`ThreadSafeStore` so all workers share it safely.
     workers:
-        Worker threads executing jobs (= max concurrent requests).
+        Worker threads executing jobs (= max concurrent jobs; store
+        hits are answered on the event loop and need none).
     queue_size:
-        Bound on queued-but-unstarted requests; overflow is rejected
-        with a retriable ``queue-full`` error.
+        Bound on queued-but-unstarted jobs; overflow is rejected with a
+        retriable ``queue-full`` error.
     event_buffer:
         Per-job bound on buffered response events; when a client reads
         slower than its job produces, the job's worker blocks (the
@@ -174,6 +243,8 @@ class SolverService:
         self._outcomes_failed = 0
         self._outcomes_cached = 0
         self._latencies: deque[float] = deque(maxlen=4096)
+        #: the key memo: request digest -> (store key, instance tag)
+        self._memo: dict[str, tuple[str, str]] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -277,7 +348,8 @@ class SolverService:
     # request intake (event loop side)
     # ------------------------------------------------------------------
     async def _dispatch(self, payload: Any, send: _SendFn) -> None:
-        """Validate, answer/enqueue, then relay the job's events."""
+        """Validate, then answer a store hit inline or enqueue the job
+        and relay its events."""
         fallback_id = (
             payload.get("id") if isinstance(payload, Mapping) else None
         )
@@ -322,10 +394,21 @@ class SolverService:
                 )
             )
             return
+        digest = self._memo_digest(req)
+        probed = False
+        if digest is not None:
+            with self._lock:
+                entry = self._memo.get(digest)
+            if entry is not None:
+                if await self._answer_hit(rid, req, *entry, send):
+                    return
+                probed = True
         job = _Job(
             rid=rid,
             request=req,
             events=asyncio.Queue(maxsize=self.event_buffer),
+            digest=digest,
+            probed=probed,
         )
         try:
             self._queue.put_nowait((-req["priority"], next(self._seq), job))
@@ -346,24 +429,15 @@ class SolverService:
             return
         with self._lock:
             self._accepted += 1
-        delivered = False
+        terminal = False
         try:
-            await send(
-                {
-                    "event": "accepted",
-                    "id": rid,
-                    "kind": kind,
-                    "pending": self._queue.qsize(),
-                }
-            )
-            while True:
+            await send(self._accepted_event(rid, kind))
+            while not terminal:
                 event = await job.events.get()
-                if event is _END:
-                    delivered = True
-                    return
+                terminal = event["event"] in _JOB_TERMINAL
                 await send(event)
         finally:
-            if not delivered:
+            if not terminal:
                 # client went away (or the relay died) with the job
                 # still queued/running: keep consuming its events so
                 # the worker's bounded-buffer puts never deadlock
@@ -371,10 +445,101 @@ class SolverService:
                 self._drainer_tasks.add(task)
                 task.add_done_callback(self._drainer_tasks.discard)
 
+    def _accepted_event(self, rid: str, kind: str) -> dict[str, Any]:
+        return {
+            "event": "accepted",
+            "id": rid,
+            "kind": kind,
+            "pending": self._queue.qsize(),
+        }
+
     @staticmethod
     async def _discard_events(job: _Job) -> None:
-        while await job.events.get() is not _END:
+        while (await job.events.get())["event"] not in _JOB_TERMINAL:
             pass
+
+    # ------------------------------------------------------------------
+    # store hits (event loop side)
+    # ------------------------------------------------------------------
+    def _memo_digest(self, req: Mapping[str, Any]) -> str | None:
+        """Key-memo digest of a solve request, or None when the request
+        may not use the memo (see the module docstring)."""
+        if self.store is None or req["kind"] != "solve":
+            return None
+        spec = req["instance"]
+        seed = spec.get("seed")
+        if "scenario" in spec and (
+            isinstance(seed, bool) or not isinstance(seed, int)
+        ):
+            return None
+        try:
+            version = get_solver(req["solver"]).version
+        except ReproError:
+            return None
+        identity = {
+            "solver": req["solver"],
+            "solver_version": version,
+            "instance": spec,
+            "threshold": req.get("threshold"),
+            "opts": req.get("opts") or {},
+            "seed": req.get("seed"),
+        }
+        return hashlib.sha256(
+            canonical_json(identity).encode("ascii")
+        ).hexdigest()
+
+    def _remember(self, digest: str, key: str, tag: str) -> None:
+        """Record a resolved store key in the memo (any thread)."""
+        with self._lock:
+            self._memo[digest] = (key, tag)
+            if len(self._memo) > _MEMO_SIZE:
+                del self._memo[next(iter(self._memo))]
+
+    async def _answer_hit(
+        self,
+        rid: str,
+        req: Mapping[str, Any],
+        key: str,
+        tag: str,
+        send: _SendFn,
+    ) -> bool:
+        """Answer a memoised solve from the store on the loop.
+
+        Returns False — the request then goes to a worker, which does
+        not look the key up again — when the store holds no current,
+        readable record for the key.
+        """
+        started = time.perf_counter()
+        try:
+            record = _validated_record(self.store.get(key), req["solver"])
+            if record is None:
+                return False
+            event = stored_outcome_event(
+                rid,
+                record,
+                solver=req["solver"],
+                threshold=req.get("threshold"),
+                tag=tag,
+                include_mapping=bool(req.get("include_mapping", False)),
+            )
+        except Exception:  # a failing store or an undecodable record:
+            return False  # the worker solves afresh and rewrites it
+        ok = int(event["ok"])
+        with self._lock:
+            self._accepted += 1
+        done = self._complete(
+            rid,
+            total=1,
+            ok=ok,
+            failed=1 - ok,
+            cached=1,
+            elapsed=time.perf_counter() - started,
+            queue_wait=0.0,
+        )
+        await send(self._accepted_event(rid, "solve"))
+        await send(event)
+        await send(done)
+        return True
 
     # ------------------------------------------------------------------
     # job execution (worker side)
@@ -397,13 +562,16 @@ class SolverService:
 
         Every ``emit`` blocks until the event-loop side buffered the
         event (bounded queue): a slow client throttles exactly one
-        worker.
+        worker.  Every exit path emits exactly one terminal event.
         """
         req = job.request
         started = time.perf_counter()
         queue_wait = started - job.enqueued_at
+        terminal = False
 
-        def emit(event: "Mapping[str, Any] | None") -> None:
+        def emit(event: Mapping[str, Any]) -> None:
+            nonlocal terminal
+            terminal = event["event"] in _JOB_TERMINAL
             asyncio.run_coroutine_threadsafe(
                 job.events.put(event), loop
             ).result()
@@ -412,30 +580,16 @@ class SolverService:
         try:
             policy = policy_from_request(req) or self.default_policy
             include_mapping = bool(req.get("include_mapping", False))
-            seed = req.get("seed")
             if req["kind"] == "solve":
-                instance = SweepInstance.from_spec(req["instance"], 0)
-                task = BatchTask(
-                    req["solver"],
-                    instance.application,
-                    instance.platform,
-                    threshold=req.get("threshold"),
-                    opts=dict(req.get("opts") or {}),
-                    tag=instance.tag,
-                )
-                stream = (
-                    (outcome, instance.tag, None)
-                    for outcome in iter_batch(
-                        [task], seed=seed, policy=policy, store=self.store
-                    )
-                )
+                outcome, tag = self._solve(job, policy)
+                stream = [(outcome, tag, None)]
             else:
                 plan = SweepPlan.from_spec(req["plan"])
                 stream = (
                     (point.outcome, point.instance_tag, point.index)
                     for point in iter_sweep(
                         plan,
-                        seed=seed,
+                        seed=req.get("seed"),
                         policy=policy,
                         store=self.store,
                         shared_cache=self.shared_cache,
@@ -457,21 +611,14 @@ class SolverService:
                         include_mapping=include_mapping,
                     )
                 )
-            elapsed = time.perf_counter() - started
-            with self._lock:
-                self._completed += 1
-                self._outcomes_ok += ok
-                self._outcomes_failed += failed
-                self._outcomes_cached += cached
-                self._latencies.append(queue_wait + elapsed)
             emit(
-                done_event(
+                self._complete(
                     job.rid,
                     total=total,
                     ok=ok,
                     failed=failed,
                     cached=cached,
-                    elapsed=elapsed,
+                    elapsed=time.perf_counter() - started,
                     queue_wait=queue_wait,
                 )
             )
@@ -493,7 +640,85 @@ class SolverService:
                 )
             )
         finally:
-            emit(_END)
+            if not terminal:
+                with self._lock:
+                    self._failed += 1
+                emit(
+                    error_event(
+                        job.rid,
+                        ServiceError(
+                            "the job ended without a result",
+                            code="internal",
+                        ),
+                    )
+                )
+
+    def _solve(
+        self, job: _Job, policy: BatchPolicy | None
+    ) -> tuple[BatchOutcome, str]:
+        """One solve request on a worker: its outcome and instance tag.
+
+        The instance is built and keyed once; the store is looked up
+        unless the loop already did; a miss runs through the engine's
+        task executor, and a storable outcome is written back before
+        its key enters the memo.
+        """
+        req = job.request
+        instance = SweepInstance.from_spec(req["instance"], 0)
+        task = BatchTask(
+            req["solver"],
+            instance.application,
+            instance.platform,
+            threshold=req.get("threshold"),
+            opts=dict(req.get("opts") or {}),
+            tag=instance.tag,
+        )
+        (payload,) = _prepare(
+            [task], req.get("seed"), policy or BatchPolicy()
+        )
+        _, task, opts, _ = payload
+        key = _task_key(task, opts) if self.store is not None else None
+        record = None
+        if key is not None and not job.probed:
+            record = _validated_record(self.store.get(key), task.solver)
+        if record is not None:
+            outcome = _outcome_from_record(record, 0, task)
+        else:
+            outcome = _execute(payload)
+            if key is None or not _storable(outcome):
+                return outcome, instance.tag
+            self.store.put(key, _outcome_to_record(outcome))
+        if job.digest is not None:
+            self._remember(job.digest, key, instance.tag)
+        return outcome, instance.tag
+
+    def _complete(
+        self,
+        rid: str,
+        *,
+        total: int,
+        ok: int,
+        failed: int,
+        cached: int,
+        elapsed: float,
+        queue_wait: float,
+    ) -> dict[str, Any]:
+        """Count a finished job and build its ``done`` event."""
+        with self._lock:
+            self._completed += 1
+            self._outcomes_ok += ok
+            self._outcomes_failed += failed
+            self._outcomes_cached += cached
+            self._latencies.append(queue_wait + elapsed)
+        return done_event(
+            rid,
+            total=total,
+            ok=ok,
+            failed=failed,
+            cached=cached,
+            elapsed=elapsed,
+            queue_wait=queue_wait,
+        )
 
     # ------------------------------------------------------------------
     # stats
@@ -592,19 +817,22 @@ class SolverService:
     ) -> None:
         """One NDJSON request per connection; events stream back."""
         try:
-            line = await reader.readline()
-            if not line.strip():
+            line = await _read_line(reader)
+            if line is None:
+                problem = f"request line over {MAX_LINE_BYTES} bytes"
+            elif not line.strip():
                 return
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
+            else:
+                try:
+                    payload = json.loads(line)
+                    problem = None
+                except json.JSONDecodeError as exc:
+                    problem = f"invalid JSON: {exc}"
+            if problem is not None:
                 writer.write(
                     encode_event(
                         error_event(
-                            None,
-                            ServiceError(
-                                f"invalid JSON: {exc}", code="bad-request"
-                            ),
+                            None, ServiceError(problem, code="bad-request")
                         )
                     )
                 )
@@ -620,7 +848,6 @@ class SolverService:
             ConnectionResetError,
             BrokenPipeError,
             asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
         ):
             pass
         finally:
@@ -642,16 +869,36 @@ class SolverService:
         transport, one chunk per event.
         """
         try:
-            request_line = (await reader.readline()).decode("latin-1")
-            parts = request_line.split()
+            raw = await _read_line(reader)
+            if raw is None:
+                await self._http_plain(
+                    writer, 400, f"request line over {MAX_LINE_BYTES} bytes"
+                )
+                return
+            parts = raw.decode("latin-1").split()
             if len(parts) != 3:
                 return
             method, path, _ = parts
             headers: dict[str, str] = {}
-            while True:
-                line = await reader.readline()
+            size = len(raw)
+            for count in itertools.count():
+                line = await _read_line(reader)
                 if line in (b"\r\n", b"\n", b""):
                     break
+                if line is not None:
+                    size += len(line)
+                if (
+                    line is None
+                    or count >= MAX_HEADER_LINES
+                    or size > MAX_HEADER_BYTES
+                ):
+                    await self._http_plain(
+                        writer,
+                        400,
+                        f"header block over {MAX_HEADER_LINES} lines or "
+                        f"{MAX_HEADER_BYTES} bytes",
+                    )
+                    return
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
 
@@ -663,6 +910,14 @@ class SolverService:
                 if length < 0:
                     await self._http_plain(
                         writer, 400, "missing/invalid Content-Length"
+                    )
+                    return
+                if length > MAX_LINE_BYTES:
+                    await self._http_plain(
+                        writer,
+                        400,
+                        f"request body of {length} bytes exceeds the "
+                        f"{MAX_LINE_BYTES}-byte limit",
                     )
                     return
                 body = await reader.readexactly(length)
@@ -703,7 +958,6 @@ class SolverService:
             ConnectionResetError,
             BrokenPipeError,
             asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
         ):
             pass
         finally:

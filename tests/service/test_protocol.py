@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.engine.batch import BatchOutcome, BatchTask
+from repro.engine.batch import (
+    BatchOutcome,
+    BatchTask,
+    _outcome_from_record,
+    _outcome_to_record,
+)
 from repro.engine.policy import BatchPolicy, ErrorKind
 from repro.engine.sweeps import SPEC_SCHEMA_VERSION
 from repro.service.protocol import (
@@ -19,6 +24,7 @@ from repro.service.protocol import (
     outcome_event,
     policy_from_request,
     policy_to_wire,
+    stored_outcome_event,
     validate_request,
 )
 
@@ -208,6 +214,24 @@ class TestEvents:
     def test_outcome_event_point_index_overrides(self):
         event = outcome_event("r1", _make_outcome(), point_index=7)
         assert event["index"] == 7
+
+    @pytest.mark.parametrize("ok", [True, False])
+    def test_stored_outcome_event_matches_a_store_hit(self, ok):
+        """The loop renders a record exactly as a worker-side hit does."""
+        outcome = _make_outcome(ok=ok)
+        record = json.loads(json.dumps(_outcome_to_record(outcome)))
+        hit = _outcome_from_record(record, 0, outcome.task)
+        for include_mapping in (False, True):
+            assert stored_outcome_event(
+                "r1",
+                record,
+                solver="greedy-min-fp",
+                threshold=50.0,
+                tag="t",
+                include_mapping=include_mapping,
+            ) == outcome_event(
+                "r1", hit, instance="t", include_mapping=include_mapping
+            )
 
     def test_done_event_counts_invocations(self):
         event = done_event(

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.api import get_solver
 from repro.engine.store import MemoryStore, open_store
 from repro.service import (
     PROTOCOL_VERSION,
@@ -19,6 +20,8 @@ from repro.service import (
     ServiceError,
     ServiceThread,
 )
+from repro.service.protocol import MAX_LINE_BYTES
+from repro.service.server import MAX_HEADER_BYTES, MAX_HEADER_LINES
 
 from tests.engine.synthetic import (
     always_crash_min_fp,
@@ -215,6 +218,221 @@ class TestProtocolErrors:
                 )
             )
         assert all(e["id"] == "my-req" for e in events)
+
+
+def _raw_http(port, data):
+    """Send raw bytes to the HTTP endpoint; everything it answers."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestHttpIntakeBounds:
+    def test_oversized_body_refused_before_reading_it(self):
+        with ServiceThread(http=True) as service:
+            reply = _raw_http(
+                service.http_port,
+                f"POST /v1/requests HTTP/1.1\r\n"
+                f"Content-Length: {MAX_LINE_BYTES + 1}\r\n\r\n".encode(),
+            )
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert json.loads(body)["code"] == "bad-request"
+
+    @pytest.mark.parametrize(
+        "headers",
+        [
+            "".join(f"X-Fill-{i}: {i}\r\n" for i in range(MAX_HEADER_LINES + 1)),
+            "".join(
+                f"X-Fill-{i}: {'x' * (MAX_HEADER_BYTES // 2)}\r\n"
+                for i in range(2)
+            ),
+        ],
+        ids=["lines", "bytes"],
+    )
+    def test_overlong_header_block_refused(self, headers):
+        with ServiceThread(http=True) as service:
+            reply = _raw_http(
+                service.http_port,
+                f"GET /v1/ping HTTP/1.1\r\n{headers}".encode(),
+            )
+        assert reply.startswith(b"HTTP/1.1 400")
+
+    def test_line_over_the_stream_limit_is_a_bad_request(self):
+        """A line past MAX_LINE_BYTES gets an answer on both transports
+        (the stream reader reports it as ValueError, not as an overrun)."""
+        pad = b"x" * (MAX_LINE_BYTES + 1024)
+        with ServiceThread(http=True) as service:
+            reply = _raw_http(
+                service.http_port,
+                b"GET /v1/ping HTTP/1.1\r\nX-Pad: " + pad + b"\r\n\r\n",
+            )
+            with socket.socket(socket.AF_UNIX) as sock:
+                sock.settimeout(30)
+                sock.connect(service.socket_path)
+                sock.sendall(b'{"kind": "ping", "pad": "' + pad + b'"}\n')
+                event = json.loads(sock.makefile("rb").readline())
+            assert service.client().ping()["event"] == "pong"
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert event["event"] == "error"
+        assert event["code"] == "bad-request"
+
+
+class TestStoreHits:
+    """Repeats of a solve the daemon already resolved are answered on
+    its event loop: one store lookup, no worker, no queue."""
+
+    def test_warm_repeat_answered_while_the_worker_is_busy(self, tmp_path):
+        gate = tmp_path / "gate"
+        counter = tmp_path / "count"
+        blocker_spec = {
+            "schema": PROTOCOL_VERSION,
+            "kind": "solve",
+            "solver": "svc-gate",
+            "instance": instance_spec(),
+            "threshold": 50.0,
+            "opts": {"gate": str(gate), "counter_file": str(counter)},
+        }
+        warm = {
+            "schema": PROTOCOL_VERSION,
+            "kind": "solve",
+            "solver": "greedy-min-fp",
+            "instance": instance_spec(),
+            "threshold": 60.0,
+            "include_mapping": True,
+        }
+        with register_synthetic("svc-gate", gated_min_fp):
+            with ServiceThread(MemoryStore(), workers=1) as service:
+                client = service.client(timeout=60)
+                cold = list(client.request(warm))
+                blocker = threading.Thread(
+                    target=lambda: list(client.request(blocker_spec))
+                )
+                blocker.start()
+                try:
+                    deadline = time.monotonic() + 10
+                    while invocations(counter) == 0:  # worker is busy
+                        assert time.monotonic() < deadline
+                        time.sleep(0.01)
+                    events = list(client.request(warm))
+                    held = blocker.is_alive()
+                    service.drain()
+                    # a hit during a drain is rejected like any work
+                    with pytest.raises(ServiceError) as err:
+                        list(client.request(warm))
+                finally:
+                    gate.touch()
+                    blocker.join(30)
+        assert held
+        assert [e["event"] for e in events] == ["accepted", "outcome", "done"]
+        outcome, done = events[1], events[2]
+        assert outcome["cached"] is True
+        assert done["queue_wait"] == 0
+        assert done["cached"] == 1 and done["solver_invocations"] == 0
+        for field in ("latency", "failure_probability", "mapping", "tag"):
+            assert outcome[field] == cold[1][field]
+        assert err.value.code == "draining"
+
+    def test_one_store_lookup_per_request(self):
+        store = MemoryStore()
+        with ServiceThread(store) as service:
+            client = service.client()
+            first = client.solve(
+                "greedy-min-fp", instance_spec(), threshold=60.0
+            )
+            second = client.solve(
+                "greedy-min-fp", instance_spec(), threshold=60.0
+            )
+            stats = client.stats()
+        assert (first["cached"], second["cached"]) == (False, True)
+        assert (store.stats.hits, store.stats.misses) == (1, 1)
+        assert store.stats.writes == 1
+        assert stats["requests"]["completed"] == 2
+        assert stats["outcomes"]["cached"] == 1
+        assert stats["outcomes"]["solver_invocations"] == 1
+
+    def test_unstorable_outcome_counts_one_miss_per_request(self):
+        store = MemoryStore()
+        with register_synthetic("svc-crash", always_crash_min_fp):
+            with ServiceThread(store) as service:
+                client = service.client()
+                outcomes = [
+                    client.solve("svc-crash", instance_spec(), threshold=50.0)
+                    for _ in range(2)
+                ]
+        assert [o["cached"] for o in outcomes] == [False, False]
+        assert (store.stats.hits, store.stats.misses) == (0, 2)
+        assert store.stats.writes == 0
+
+    def test_scenario_without_seed_is_never_memoised(self, tmp_path):
+        counter = tmp_path / "count"
+        unseeded = {"scenario": "edge-hub-cloud", "params": {"stages": 4}}
+        with register_synthetic("svc-count", counting_min_fp):
+            with ServiceThread(MemoryStore()) as service:
+                client = service.client()
+                outcomes = [
+                    client.solve(
+                        "svc-count",
+                        unseeded,
+                        threshold=60.0,
+                        opts={"counter_file": str(counter)},
+                    )
+                    for _ in range(2)
+                ]
+        assert [o["cached"] for o in outcomes] == [False, False]
+        assert invocations(counter) == 2
+
+    def test_stale_record_resolves_again_after_a_memo_hit(self):
+        store = MemoryStore()
+        with ServiceThread(store) as service:
+            client = service.client()
+            client.solve("greedy-min-fp", instance_spec(), threshold=60.0)
+            (key,) = store.keys()
+            stale = dict(store.peek(key))
+            stale["solver_version"] = get_solver("greedy-min-fp").version + 1
+            store.put(key, stale)
+            with pytest.warns(UserWarning, match="stale entry"):
+                again = client.solve(
+                    "greedy-min-fp", instance_spec(), threshold=60.0
+                )
+            warm = client.solve(
+                "greedy-min-fp", instance_spec(), threshold=60.0
+            )
+        assert again["cached"] is False
+        assert warm["cached"] is True
+        # cold miss, stale hit (rejected), warm hit: one lookup each
+        assert (store.stats.hits, store.stats.misses) == (2, 1)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"solver": "no-such-solver", "instance": instance_spec()},
+            {
+                "solver": "greedy-min-fp",
+                "instance": {"scenario": "no-such-scenario", "seed": 1},
+            },
+        ],
+        ids=["solver", "scenario"],
+    )
+    def test_unresolvable_request_is_accepted_then_refused(self, fields):
+        request = {
+            "schema": PROTOCOL_VERSION,
+            "kind": "solve",
+            "threshold": 60.0,
+            **fields,
+        }
+        with ServiceThread(MemoryStore()) as service:
+            client = service.client()
+            runs = [
+                list(client.request(request, raise_on_error=False))
+                for _ in range(2)
+            ]
+        for events in runs:
+            assert [e["event"] for e in events] == ["accepted", "error"]
+            assert events[-1]["code"] == "bad-request"
 
 
 class TestSharedStore:
