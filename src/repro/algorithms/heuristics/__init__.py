@@ -14,26 +14,28 @@ polynomial algorithms, so this subpackage provides:
 * :mod:`~repro.algorithms.heuristics.annealing` — simulated annealing on
   the same moves.
 
-Single-interval, local search and annealing accept a ``use_bulk`` knob
+Single-interval and local search accept a ``use_bulk`` knob
 (automatic when numpy is present): candidate pools are then generated
 in boundary/bitmask row form
 (:func:`~repro.algorithms.heuristics.neighborhood.neighbor_rows`) and
 scored through :class:`~repro.core.metrics_bulk.BulkEvaluator`, with
 decisions still taken on scalar-exact values — results are bit-identical
 to the scalar path under a fixed seed (see
-:mod:`~repro.algorithms.heuristics.bulk`).  Greedy has no bulk path: an
-enrolment trial changes one interval, so it scores every trial from the
+:mod:`~repro.algorithms.heuristics.bulk`).  Greedy and annealing have no
+bulk path and need no numpy: a greedy enrolment trial or an annealing
+proposal changes at most two intervals, so each is scored from the
 cached interval terms of
 :meth:`~repro.core.metrics.EvaluationCache.objectives_with`, which beats
-bulk scoring at every measured shape.
+bulk scoring at every measured shape.  Annealing draws its proposals by
+index from :class:`~repro.algorithms.heuristics.neighborhood.Neighborhood`
+and builds a mapping object only for accepted moves.
 """
 
 from .annealing import AnnealingSchedule, anneal_minimize_fp, anneal_minimize_latency
 from .greedy import balanced_partition, greedy_minimize_fp, greedy_minimize_latency
 from .local_search import local_search_minimize_fp, local_search_minimize_latency
 from .neighborhood import (
-    neighbor_block,
-    neighbor_blocks,
+    Neighborhood,
     neighbor_rows,
     neighbors,
     random_mapping,
@@ -62,10 +64,9 @@ __all__ = [
     "anneal_minimize_fp",
     "anneal_minimize_latency",
     "AnnealingSchedule",
+    "Neighborhood",
     "neighbors",
     "neighbor_rows",
-    "neighbor_block",
-    "neighbor_blocks",
     "row_mapping",
     "random_neighbor",
     "random_mapping",

@@ -10,58 +10,38 @@ search's determinism for a better chance of hopping between interval
 structures (e.g. from the one-interval basin to the Figure 5 two-interval
 optimum) on rugged Failure Heterogeneous instances.
 
-With ``use_bulk`` the proposal loop runs the **bulk-Metropolis** fast
-path: the neighbourhood is materialised once per *accepted* state as
-lightweight boundary/bitmask rows and scored *lazily* — early draws
-from a pool are decided on the exact scalar cache with a per-pool
-energy memo (hot-phase pools rarely survive a couple of draws, frozen
-pools mostly re-draw memoised rows), and only a pool that keeps
-exploring distinct rows is scored through one
-:class:`~repro.core.metrics_bulk.BulkEvaluator` call whose cached bulk
-energies then decide the remaining draws.  Bulk energies carry a
-conservative per-row error bound (the
-:data:`~repro.algorithms.heuristics.bulk.PREFILTER_MARGIN` contract):
-whenever the bulk numbers cannot prove the Metropolis outcome — the
-energy delta's sign is ambiguous, or the acceptance draw lands inside
-the uncertainty band around ``exp(-delta/T)`` — the candidate is
-re-evaluated through the exact scalar cache and the decision is made on
-scalar numbers.  Accepted states are always scalar-confirmed, so the
-walk's energy ladder stays scalar-exact and the proposal sequence,
-every Metropolis decision and the final result are bit-identical to
-the classic path under a fixed seed.  With a ``recorder`` attached the
-proposal energies stay scalar (every proposal event carries its exact
-energy), preserving diff-clean recordings across backends; the pooled
-sampler still avoids rebuilding neighbour mappings per step.
+Each proposal is one ``rng.choice(range(size))`` draw over the indexed
+neighbourhood of the current state
+(:class:`~repro.algorithms.heuristics.neighborhood.Neighborhood`, built
+once per accepted state).  The drawn move replaces at most two
+intervals, so it is scored from cached interval terms through
+:meth:`~repro.core.metrics.EvaluationCache.objectives_with`, and a
+mapping object is built only when the move is accepted; a per-state
+memo answers repeat draws of a move (most draws, once the walk
+freezes).  The walk, every Metropolis decision, the recorded proposal
+energies and the result are bit-identical to drawing from the whole
+list of neighbour mappings and evaluating the drawn one from scratch
+(the reference loop the tests keep as an oracle).  No numpy is needed.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from ..result import SolverResult
-from .neighborhood import random_mapping, random_neighbor
+from .neighborhood import Neighborhood, random_mapping
 from .single_interval import single_interval_mappings
 from .warm import WarmStarts, decode_warm_starts
 from ...core.application import PipelineApplication
 from ...core.mapping import IntervalMapping
 from ...core.metrics import EvaluationCache, failure_probability, latency
-from ...core.metrics_bulk import resolve_use_bulk
 from ...core.platform import Platform
 from ...core.serialization import mapping_to_dict
 from ...exceptions import InfeasibleProblemError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
 __all__ = ["anneal_minimize_fp", "anneal_minimize_latency", "AnnealingSchedule"]
-
-#: ``pool_scorer`` contract: candidate rows in, per-row bulk energies
-#: plus a conservative bound on their scalar-energy error out.
-_PoolScorer = Callable[
-    [list], tuple["np.ndarray", "np.ndarray"]
-]
 
 
 class AnnealingSchedule:
@@ -99,62 +79,61 @@ class AnnealingSchedule:
 def _anneal(
     application: PipelineApplication,
     platform: Platform,
-    energy: Callable[[IntervalMapping], float],
-    feasible_rank: Callable[[IntervalMapping], tuple[float, float] | None],
+    cache: EvaluationCache,
+    energy: Callable[[float, float], float],
+    feasible_rank: Callable[[float, float], tuple[float, float] | None],
     schedule: AnnealingSchedule,
     rng: random.Random,
-    proposer: Callable[[IntervalMapping, random.Random], IntervalMapping]
-    | None = None,
     trace: list[IntervalMapping] | None = None,
     warm_starts: list[IntervalMapping] | None = None,
     recorder: Any = None,
-    pool_scorer: _PoolScorer | None = None,
 ) -> IntervalMapping | None:
     """Anneal on ``energy``; return the best *feasible* state visited.
 
-    ``feasible_rank`` maps a feasible state to its lexicographic
-    objective (lower is better) and an infeasible one to ``None``.
-    Tracking feasibility separately from energy matters: the penalised
-    energy may rank an infeasible state lowest, but the caller needs the
-    best state that actually satisfies the threshold.
+    ``energy`` and ``feasible_rank`` both take a state's ``(latency,
+    FP)`` as scored by ``cache``: the first gives the penalised energy,
+    the second the lexicographic objective of a feasible state (lower is
+    better) or ``None`` for an infeasible one.  Tracking feasibility
+    separately from energy matters: the penalised energy may rank an
+    infeasible state lowest, but the caller needs the best state that
+    actually satisfies the threshold.
 
-    ``proposer`` overrides the neighbour draw (the pooled bulk sampler
-    plugs in here; it must consume the rng exactly like
-    :func:`random_neighbor`).  ``trace`` collects every accepted state.
-    ``warm_starts`` join the single-interval pool as known states: the
-    energy-best of the combined pool becomes the initial state, and each
-    is ``consider``-ed, so the returned result is never worse than any
-    feasible warm start.
-
-    ``pool_scorer`` switches the proposal loop to the bulk-Metropolis
-    fast path (see the module docstring); it is mutually exclusive with
-    ``proposer`` and ``recorder``.
+    ``trace`` collects every accepted state.  ``warm_starts`` join the
+    single-interval pool as known states: the energy-best of the
+    combined pool becomes the initial state, and each is considered, so
+    the returned result is never worse than any feasible warm start.
     """
-    warm = sorted(
-        single_interval_mappings(application, platform), key=energy
-    )
+
+    def objectives(mapping: IntervalMapping) -> tuple[float, float]:
+        return cache.latency(mapping), cache.failure_probability(mapping)
+
+    def state_energy(mapping: IntervalMapping) -> float:
+        return energy(*objectives(mapping))
+
+    warm = sorted(single_interval_mappings(application, platform), key=state_energy)
     seeds = [*(warm_starts or []), *warm]
     current = (
-        min(seeds, key=energy)
+        min(seeds, key=state_energy)
         if seeds
         else random_mapping(application.num_stages, platform.size, rng)
     )
-    current_e = energy(current)
+    current_lat, current_fp = objectives(current)
+    current_e = energy(current_lat, current_fp)
 
     best_feasible: IntervalMapping | None = None
     best_rank: tuple[float, float] | None = None
 
-    def consider(state: IntervalMapping) -> None:
+    def consider(state: IntervalMapping, lat: float, fp: float) -> None:
         nonlocal best_feasible, best_rank
-        rank = feasible_rank(state)
+        rank = feasible_rank(lat, fp)
         if rank is not None and (best_rank is None or rank < best_rank):
             best_feasible, best_rank = state, rank
 
     # every seed is a known state: the annealer can only improve on the
     # best feasible one among them
     for candidate in seeds:
-        consider(candidate)
-    consider(current)
+        consider(candidate, *objectives(candidate))
+    consider(current, current_lat, current_fp)
     if recorder is not None:
         recorder.emit(
             "anneal_start",
@@ -162,248 +141,48 @@ def _anneal(
             energy=current_e,
         )
     temperature = schedule.initial_temperature
-    if pool_scorer is not None:
-        assert proposer is None and recorder is None
-        _metropolis_bulk(
-            platform,
-            energy,
-            schedule,
-            rng,
-            pool_scorer,
-            current,
-            current_e,
-            consider,
-            trace,
-        )
-        return best_feasible
+    neighborhood: Neighborhood | None = None
+    # move index -> (energy, latency, FP, move) for the current state
+    memo: dict[int, tuple] = {}
     for step in range(schedule.steps):
-        if proposer is None:
-            candidate = random_neighbor(current, platform.size, rng)
+        if neighborhood is None:
+            neighborhood = Neighborhood(current, platform.size)
+            memo = {}
+        if neighborhood.size:
+            idx = rng.choice(range(neighborhood.size))
+            scored = memo.get(idx)
+            if scored is None:
+                move = neighborhood.move(idx)
+                lat, fp = cache.objectives_with(current, *move)
+                scored = memo[idx] = (energy(lat, fp), lat, fp, move)
+            delta = scored[0] - current_e
+            accepted = delta <= 0 or rng.random() < math.exp(-delta / temperature)
+            if accepted:
+                current = neighborhood.apply(scored[3])
+                current_e, current_lat, current_fp = scored[:3]
+                neighborhood = None
         else:
-            candidate = proposer(current, rng)
-        cand_e = energy(candidate)
-        delta = cand_e - current_e
-        accepted = delta <= 0 or rng.random() < math.exp(-delta / temperature)
+            # no move applies (1 stage, 1 processor): the state proposes
+            # itself, and a zero delta accepts without an acceptance draw
+            accepted = True
         if recorder is not None:
-            # the proposal sequence (and every Metropolis decision) is
-            # bit-identical between the classic and pooled-bulk paths,
-            # so these events are comparable across use_bulk settings;
             # the mapping payload rides only on accepted steps
             if accepted:
                 recorder.emit(
                     "propose",
                     step=step,
-                    energy=cand_e,
+                    energy=current_e,
                     accepted=True,
-                    mapping=mapping_to_dict(candidate),
+                    mapping=mapping_to_dict(current),
                 )
             else:
-                recorder.emit(
-                    "propose", step=step, energy=cand_e, accepted=False
-                )
+                recorder.emit("propose", step=step, energy=scored[0], accepted=False)
         if accepted:
-            current, current_e = candidate, cand_e
             if trace is not None:
                 trace.append(current)
-            consider(current)
+            consider(current, current_lat, current_fp)
         temperature = max(temperature * schedule.cooling, 1e-9)
     return best_feasible
-
-
-def _metropolis_bulk(
-    platform: Platform,
-    energy: Callable[[IntervalMapping], float],
-    schedule: AnnealingSchedule,
-    rng: random.Random,
-    pool_scorer: _PoolScorer,
-    current: IntervalMapping,
-    current_e: float,
-    consider: Callable[[IntervalMapping], None],
-    trace: list[IntervalMapping] | None,
-) -> None:
-    """The bulk-Metropolis proposal loop (scalar-confirmed decisions).
-
-    Decisions replay the classic loop exactly, including its rng
-    consumption: one index draw per proposal (none on an empty pool)
-    and one ``rng.random()`` draw iff the *scalar* energy delta is
-    positive.  The bulk energies only ever decide an outcome when their
-    error bound proves the scalar path would decide it identically;
-    every ambiguous case — and every acceptance — goes through the
-    exact scalar ``energy``, so ``current_e`` stays scalar-exact for
-    the next delta.
-    """
-    from .neighborhood import neighbor_rows, row_mapping
-
-    m = platform.size
-    pool_state: IntervalMapping | None = None
-    pool: list = []
-    energies = margins = None
-    memo: dict[int, float] = {}
-    temperature = schedule.initial_temperature
-    for _ in range(schedule.steps):
-        if current is not pool_state:
-            pool = list(neighbor_rows(current, m))
-            pool_state = current
-            energies = margins = None
-            memo = {}
-        if not pool:
-            # the classic path proposes the current state itself: a
-            # zero delta accepts without drawing rng.random()
-            if trace is not None:
-                trace.append(current)
-            consider(current)
-            temperature = max(temperature * schedule.cooling, 1e-9)
-            continue
-        idx = rng.choice(range(len(pool)))
-        candidate: IntervalMapping | None = None
-        cand_e: float | None = memo.get(idx) if energies is None else None
-        if (
-            energies is None
-            and cand_e is None
-            and len(memo) >= _SCORE_POOL_DISTINCT
-        ):
-            energies, margins = pool_scorer(pool)
-        if energies is None:
-            # young pool: decide on the exact scalar energy, memoised
-            # per row.  In the hot phase pools rarely survive a couple
-            # of draws (every acceptance rebuilds them), and a frozen
-            # pool mostly re-draws already-decoded rows — either way
-            # bulk-scoring up front would cost more than the draws it
-            # serves; the classic decision here is also trivially
-            # rng-identical.
-            if cand_e is None:
-                candidate = row_mapping(pool[idx], m)
-                cand_e = energy(candidate)
-                memo[idx] = cand_e
-            delta = cand_e - current_e
-            accepted = delta <= 0 or rng.random() < math.exp(
-                -delta / temperature
-            )
-        else:
-            accepted, candidate, cand_e = _bulk_decision(
-                energy,
-                rng,
-                pool,
-                m,
-                energies,
-                margins,
-                idx,
-                current_e,
-                temperature,
-                row_mapping,
-            )
-        if accepted:
-            if candidate is None:
-                candidate = row_mapping(pool[idx], m)
-            if cand_e is None:
-                cand_e = energy(candidate)
-            current, current_e = candidate, cand_e
-            if trace is not None:
-                trace.append(current)
-            consider(current)
-        temperature = max(temperature * schedule.cooling, 1e-9)
-
-
-#: Bulk-score a proposal pool once this many *distinct* rows of it have
-#: been decided through the scalar cache.  Distinct decodes are what a
-#: scoring call actually saves (repeat draws hit the per-pool memo for
-#: ~nothing), and at typical pool shapes N scalar decodes cost about one
-#: bulk scoring call — so a pool exploring its N+1th distinct row has
-#: proven the up-front scoring pays for itself, while short-lived
-#: hot-phase pools and frozen pools cycling a few rows never pay it.
-_SCORE_POOL_DISTINCT = 8
-
-
-def _bulk_decision(
-    energy: Callable[[IntervalMapping], float],
-    rng: random.Random,
-    pool: list,
-    m: int,
-    energies: "np.ndarray",
-    margins: "np.ndarray",
-    idx: int,
-    current_e: float,
-    temperature: float,
-    row_mapping: Callable[..., IntervalMapping],
-) -> tuple[bool, IntervalMapping | None, float | None]:
-    """One Metropolis decision against cached bulk pool energies.
-
-    Returns ``(accepted, candidate, cand_e)`` with the latter two set
-    only when the scalar confirmation already materialised them.
-    """
-    delta_bulk = float(energies[idx]) - current_e
-    eps = float(margins[idx])
-    candidate: IntervalMapping | None = None
-    cand_e: float | None = None
-    if delta_bulk <= -eps:
-        # scalar delta is surely <= 0: accept, no acceptance draw
-        accepted = True
-    elif delta_bulk > eps:
-        # scalar delta is surely > 0: the draw happens; confirm in
-        # scalar only when it lands inside the uncertainty band
-        # around exp(-delta/T)
-        u = rng.random()
-        if u >= math.exp(-(delta_bulk - eps) / temperature):
-            accepted = False
-        elif u < math.exp(-(delta_bulk + eps) / temperature):
-            accepted = True
-        else:
-            candidate = row_mapping(pool[idx], m)
-            cand_e = energy(candidate)
-            accepted = u < math.exp(-(cand_e - current_e) / temperature)
-    else:
-        # ambiguous sign: the scalar delta decides whether the
-        # acceptance draw happens at all
-        candidate = row_mapping(pool[idx], m)
-        cand_e = energy(candidate)
-        delta = cand_e - current_e
-        accepted = delta <= 0 or rng.random() < math.exp(
-            -delta / temperature
-        )
-    return accepted, candidate, cand_e
-
-
-def _make_proposer(
-    use_bulk: bool | None, platform: Platform
-) -> Callable[[IntervalMapping, random.Random], IntervalMapping] | None:
-    """The pooled bulk sampler when the knob resolves on, else None."""
-    if not resolve_use_bulk(use_bulk):
-        return None
-    from .bulk import PooledNeighborSampler
-
-    return PooledNeighborSampler(platform.size)
-
-
-def _make_pool_scorer(
-    application: PipelineApplication,
-    platform: Platform,
-    bulk_backend: str | None,
-    penalised: Callable[..., tuple["np.ndarray", "np.ndarray"]],
-) -> _PoolScorer:
-    """Build a pool scorer around one bulk evaluator.
-
-    ``penalised(lats, fps, np)`` maps the bulk objective vectors to the
-    solver's penalised energies plus the *magnitudes* whose relative
-    bulk error the margin must cover; the scorer scales those by
-    :data:`~repro.algorithms.heuristics.bulk.PREFILTER_MARGIN` (1000x
-    the documented bulk tolerance — the penalised energies are sums of
-    tolerance-accurate terms, so the summed magnitudes bound the
-    error) and adds the absolute floor for comparisons around zero.
-    """
-    import numpy as np
-
-    from ...core.metrics_bulk import BulkEvaluator
-    from .bulk import _ABSOLUTE_FLOOR, PREFILTER_MARGIN, score_rows
-
-    evaluator = BulkEvaluator(application, platform, backend=bulk_backend)
-    n, m = application.num_stages, platform.size
-
-    def pool_scorer(rows: list) -> tuple["np.ndarray", "np.ndarray"]:
-        lats, fps = score_rows(evaluator, n, m, rows)
-        energies, scales = penalised(lats, fps, np)
-        return energies, PREFILTER_MARGIN * scales + _ABSOLUTE_FLOOR
-
-    return pool_scorer
 
 
 def anneal_minimize_fp(
@@ -415,85 +194,53 @@ def anneal_minimize_fp(
     penalty: float = 10.0,
     seed: int | None = 0,
     tolerance: float = 1e-9,
-    use_bulk: bool | None = None,
-    bulk_backend: str | None = None,
     trace: list[IntervalMapping] | None = None,
     warm_starts: WarmStarts | None = None,
     recorder: Any = None,
 ) -> SolverResult:
     """Simulated annealing for 'minimise FP subject to latency <= L'.
 
-    ``use_bulk`` routes proposals through the bulk-Metropolis fast path
-    (``None`` = automatic when numpy is present; see the module
-    docstring); the walk and the result are identical either way.
-    ``bulk_backend`` picks the evaluator's array engine (``"auto"`` /
-    ``"jit"`` / ``"numpy"``, see
-    :func:`repro.core.metrics_bulk.resolve_backend`).  Pass a list as
-    ``trace`` to collect every accepted state in order.  ``warm_starts``
-    (mappings or serialised dicts) join the initial candidate pool; the
-    result is never worse than any feasible warm start.  ``recorder`` (a
+    Pass a list as ``trace`` to collect every accepted state in order.
+    ``warm_starts`` (mappings or serialised dicts, validated against the
+    instance) join the initial candidate pool; the result is never worse
+    than any feasible warm start.  ``recorder`` (a
     :class:`repro.engine.recorder.RunRecorder`) captures every proposal
-    with its scalar energy without changing the walk (proposal energies
-    stay scalar on recorded runs, so recordings diff cleanly across
-    backends).
+    with its energy without changing the walk.
 
     Raises
     ------
     InfeasibleProblemError
         If the best state found is still latency-infeasible.
+    InvalidMappingError
+        If a warm start does not fit the instance.
     """
+    warm = decode_warm_starts(warm_starts, application, platform)
     if schedule is None:
         schedule = AnnealingSchedule()
     rng = recorder.rng(seed) if recorder is not None else random.Random(seed)
     slack = tolerance * max(1.0, abs(latency_threshold))
     scale = max(latency_threshold, 1e-12)
-    # random-neighbour moves perturb one or two intervals, so the
-    # memoized per-interval terms make each energy evaluation nearly free
     cache = EvaluationCache(application, platform)
     if recorder is not None:
         recorder.observe_cache(cache)
 
-    def energy(mapping: IntervalMapping) -> float:
-        lat = cache.latency(mapping)
-        fp = cache.failure_probability(mapping)
-        violation = max(0.0, lat - latency_threshold) / scale
-        return fp + penalty * violation
+    def energy(lat: float, fp: float) -> float:
+        return fp + penalty * (max(0.0, lat - latency_threshold) / scale)
 
-    def feasible_rank(mapping: IntervalMapping) -> tuple[float, float] | None:
-        lat = cache.latency(mapping)
-        if lat > latency_threshold + slack:
-            return None
-        return (cache.failure_probability(mapping), lat)
-
-    pool_scorer = None
-    if recorder is None and resolve_use_bulk(use_bulk):
-        pool_scorer = _make_pool_scorer(
-            application,
-            platform,
-            bulk_backend,
-            lambda lats, fps, np: (
-                fps + penalty * np.maximum(0.0, lats - latency_threshold)
-                / scale,
-                np.abs(fps) + penalty * np.abs(lats) / scale,
-            ),
-        )
+    def feasible_rank(lat: float, fp: float) -> tuple[float, float] | None:
+        return None if lat > latency_threshold + slack else (fp, lat)
 
     best = _anneal(
         application,
         platform,
+        cache,
         energy,
         feasible_rank,
         schedule,
         rng,
-        proposer=(
-            _make_proposer(use_bulk, platform)
-            if pool_scorer is None
-            else None
-        ),
         trace=trace,
-        warm_starts=decode_warm_starts(warm_starts),
+        warm_starts=warm,
         recorder=recorder,
-        pool_scorer=pool_scorer,
     )
     if best is None:
         raise InfeasibleProblemError(
@@ -519,8 +266,6 @@ def anneal_minimize_latency(
     penalty: float | None = None,
     seed: int | None = 0,
     tolerance: float = 1e-9,
-    use_bulk: bool | None = None,
-    bulk_backend: str | None = None,
     trace: list[IntervalMapping] | None = None,
     warm_starts: WarmStarts | None = None,
     recorder: Any = None,
@@ -531,14 +276,17 @@ def anneal_minimize_latency(
     latency magnitude of the single-processor mapping: energies are in
     latency units here (unlike the FP query, where they live in [0, 1]),
     so a fixed sub-unit temperature would freeze the walk immediately.
-    ``use_bulk``/``bulk_backend``/``trace``/``warm_starts``/``recorder``
-    behave as in :func:`anneal_minimize_fp`.
+    ``trace``/``warm_starts``/``recorder`` behave as in
+    :func:`anneal_minimize_fp`.
 
     Raises
     ------
     InfeasibleProblemError
         If the best state found is still FP-infeasible.
+    InvalidMappingError
+        If a warm start does not fit the instance.
     """
+    warm = decode_warm_starts(warm_starts, application, platform)
     rng = recorder.rng(seed) if recorder is not None else random.Random(seed)
     slack = tolerance * max(1.0, abs(fp_threshold))
     # a crude latency magnitude: whole pipeline on the fastest processor
@@ -559,46 +307,23 @@ def anneal_minimize_latency(
     if recorder is not None:
         recorder.observe_cache(cache)
 
-    def energy(mapping: IntervalMapping) -> float:
-        lat = cache.latency(mapping)
-        fp = cache.failure_probability(mapping)
-        violation = max(0.0, fp - fp_threshold)
-        return lat + penalty * violation
+    def energy(lat: float, fp: float) -> float:
+        return lat + penalty * max(0.0, fp - fp_threshold)
 
-    def feasible_rank(mapping: IntervalMapping) -> tuple[float, float] | None:
-        fp = cache.failure_probability(mapping)
-        if fp > fp_threshold + slack:
-            return None
-        return (cache.latency(mapping), fp)
-
-    pool_scorer = None
-    if recorder is None and resolve_use_bulk(use_bulk):
-        pool_scorer = _make_pool_scorer(
-            application,
-            platform,
-            bulk_backend,
-            lambda lats, fps, np: (
-                lats + penalty * np.maximum(0.0, fps - fp_threshold),
-                np.abs(lats) + penalty * np.abs(fps),
-            ),
-        )
+    def feasible_rank(lat: float, fp: float) -> tuple[float, float] | None:
+        return None if fp > fp_threshold + slack else (lat, fp)
 
     best = _anneal(
         application,
         platform,
+        cache,
         energy,
         feasible_rank,
         schedule,
         rng,
-        proposer=(
-            _make_proposer(use_bulk, platform)
-            if pool_scorer is None
-            else None
-        ),
         trace=trace,
-        warm_starts=decode_warm_starts(warm_starts),
+        warm_starts=warm,
         recorder=recorder,
-        pool_scorer=pool_scorer,
     )
     if best is None:
         raise InfeasibleProblemError(

@@ -1,11 +1,13 @@
 """Shared machinery for the heuristics' bulk candidate-pool scoring.
 
-Three heuristic solvers (single-interval grid, local search, annealing)
-historically scored candidates one at a time through the scalar metric
-functions.  With numpy present they instead score whole
-candidate pools through :class:`~repro.core.metrics_bulk.BulkEvaluator`
-— but their *decisions* must stay bit-identical to the scalar path
-(same accepted-move sequences, same final mapping under a fixed seed).
+Two heuristic solvers (the single-interval grid and local search) can
+score whole candidate pools through
+:class:`~repro.core.metrics_bulk.BulkEvaluator` when numpy is present —
+but their *decisions* must stay bit-identical to the scalar path (same
+accepted-move sequences, same final mapping under a fixed seed).
+Greedy and annealing have no bulk path: each of their trials changes at
+most two intervals, so they score it from cached interval terms
+(:meth:`~repro.core.metrics.EvaluationCache.objectives_with`) instead.
 
 The bulk values agree with the scalar ones only within
 :data:`~repro.core.metrics_bulk.BULK_RELATIVE_TOLERANCE`, so decisions
@@ -23,12 +25,10 @@ winner to every step of a search trajectory.
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, Sequence
 
-from ...core.mapping import IntervalMapping
 from ...core.metrics_bulk import BulkEvaluator
-from .neighborhood import Row, neighbor_rows, row_mapping
+from .neighborhood import Row
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -38,7 +38,6 @@ __all__ = [
     "margin",
     "value_margin",
     "score_rows",
-    "PooledNeighborSampler",
 ]
 
 #: Relative slack used when a bulk score is compared against a scalar
@@ -103,39 +102,3 @@ def score_rows(
         ),
     )
     return evaluator.evaluate_block(block)
-
-
-class PooledNeighborSampler:
-    """Uniform neighbour sampling over a cached candidate-row pool.
-
-    The annealer draws one uniformly random neighbour per step; between
-    acceptances the current state — and therefore its neighbourhood —
-    does not change, yet the scalar :func:`~repro.algorithms.heuristics.\
-neighborhood.random_neighbor` rebuilds every neighbour *mapping object*
-    on every proposal.  The sampler instead materialises the
-    neighbourhood once per accepted state as lightweight
-    ``(ends, masks)`` rows, reuses the pool across rejected proposals,
-    and decodes only the single sampled row.
-
-    RNG contract: ``rng.choice(range(len(pool)))`` consumes exactly the
-    same ``random.Random`` state as ``rng.choice(pool_of_mappings)`` in
-    the scalar path (both are one ``_randbelow(len)`` draw), and an
-    empty pool consumes nothing in either path — so proposal sequences
-    are bit-identical under a fixed seed.
-    """
-
-    def __init__(self, num_processors: int) -> None:
-        self._m = num_processors
-        self._state: IntervalMapping | None = None
-        self._pool: list[Row] = []
-
-    def __call__(
-        self, current: IntervalMapping, rng: random.Random
-    ) -> IntervalMapping:
-        if current is not self._state:
-            self._pool = list(neighbor_rows(current, self._m))
-            self._state = current
-        if not self._pool:
-            return current
-        row = self._pool[rng.choice(range(len(self._pool)))]
-        return row_mapping(row, self._m)

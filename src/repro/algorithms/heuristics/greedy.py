@@ -42,7 +42,6 @@ from ...core.mapping import IntervalMapping, StageInterval
 from ...core.metrics import EvaluationCache
 from ...core.platform import Platform
 from ...core.serialization import mapping_to_dict
-from ...core.validation import validate_mapping
 from ...exceptions import InfeasibleProblemError
 from .warm import WarmStarts, decode_warm_starts
 
@@ -152,13 +151,19 @@ def _constructions(
 
 def _trials(
     mapping: IntervalMapping, unused: list[int]
-) -> Iterator[tuple[int, int, frozenset[int]]]:
-    """One round's ``(u, j, enlarged allocation)`` enrolment trials, in
-    the order ties are broken: processors outer, intervals inner."""
+) -> Iterator[tuple[int, int, frozenset[int], tuple]]:
+    """One round's ``(u, j, enlarged allocation, replacement)`` enrolment
+    trials, in the order ties are broken: processors outer, intervals
+    inner.  ``replacement`` is the trial as the one
+    ``((start, end), allocation)`` pair that
+    :meth:`~repro.core.metrics.EvaluationCache.objectives_with` scores
+    in place of interval ``j``."""
+    spans = [(iv.start, iv.end) for iv in mapping.intervals]
     for u in unused:
         extra = frozenset((u,))
         for j, alloc in enumerate(mapping.allocations):
-            yield u, j, alloc | extra
+            allocation = alloc | extra
+            yield u, j, allocation, ((spans[j], allocation),)
 
 
 def _enrolled(
@@ -183,20 +188,19 @@ def _warm_results(
     the final selection — which is exactly what makes the result never
     worse than any feasible warm start.
     """
-    results = []
-    for mapping in decode_warm_starts(warm_starts):
-        validate_mapping(mapping, cache.application, cache.platform)
-        results.append(
-            SolverResult(
-                mapping=mapping,
-                latency=cache.latency(mapping),
-                failure_probability=cache.failure_probability(mapping),
-                solver=solver,
-                optimal=False,
-                extras={"intervals": mapping.num_intervals, "seed": "warm_start"},
-            )
+    return [
+        SolverResult(
+            mapping=mapping,
+            latency=cache.latency(mapping),
+            failure_probability=cache.failure_probability(mapping),
+            solver=solver,
+            optimal=False,
+            extras={"intervals": mapping.num_intervals, "seed": "warm_start"},
         )
-    return results
+        for mapping in decode_warm_starts(
+            warm_starts, cache.application, cache.platform
+        )
+    ]
 
 
 def greedy_minimize_fp(
@@ -260,8 +264,8 @@ def greedy_minimize_fp(
             current_fp = cache.failure_probability(mapping)
             best_gain = 0.0
             best_choice: tuple[int, int, frozenset[int], float] | None = None
-            for u, j, allocation in _trials(mapping, unused):
-                trial_lat, trial_fp = cache.objectives_with(mapping, j, allocation)
+            for u, j, allocation, trial in _trials(mapping, unused):
+                trial_lat, trial_fp = cache.objectives_with(mapping, j, 1, trial)
                 if trial_lat > bound:
                     continue
                 gain = current_fp - trial_fp
@@ -361,8 +365,8 @@ def greedy_minimize_latency(
             current_lat = cache.latency(mapping)
             best_score = float("inf")
             best_choice: tuple[int, int, frozenset[int]] | None = None
-            for u, j, allocation in _trials(mapping, unused):
-                trial_lat, trial_fp = cache.objectives_with(mapping, j, allocation)
+            for u, j, allocation, trial in _trials(mapping, unused):
+                trial_lat, trial_fp = cache.objectives_with(mapping, j, 1, trial)
                 fp_gain = current_fp - trial_fp
                 if fp_gain <= 0:
                     continue

@@ -246,7 +246,10 @@ def local_search_minimize_fp(
     ------
     InfeasibleProblemError
         If the search never reaches the feasible region.
+    InvalidMappingError
+        If a warm start does not fit the instance.
     """
+    warm = decode_warm_starts(warm_starts, application, platform)
     slack = tolerance * max(1.0, abs(latency_threshold))
     # neighbourhood moves change one or two intervals, so memoized
     # per-interval terms make re-ranking nearly free
@@ -295,7 +298,7 @@ def local_search_minimize_fp(
         seed=seed,
         pool=pool,
         trace=trace,
-        warm_starts=decode_warm_starts(warm_starts),
+        warm_starts=warm,
         recorder=recorder,
     )
     if best_rank[0] != 0:
@@ -337,7 +340,10 @@ def local_search_minimize_latency(
     ------
     InfeasibleProblemError
         If the search never reaches the feasible region.
+    InvalidMappingError
+        If a warm start does not fit the instance.
     """
+    warm = decode_warm_starts(warm_starts, application, platform)
     slack = tolerance * max(1.0, abs(fp_threshold))
     cache = EvaluationCache(application, platform)
     if recorder is not None:
@@ -380,7 +386,7 @@ def local_search_minimize_latency(
         seed=seed,
         pool=pool,
         trace=trace,
-        warm_starts=decode_warm_starts(warm_starts),
+        warm_starts=warm,
         recorder=recorder,
     )
     if best_rank[0] != 0:

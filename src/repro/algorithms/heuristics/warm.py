@@ -24,7 +24,10 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
+from ...core.application import PipelineApplication
 from ...core.mapping import IntervalMapping
+from ...core.platform import Platform
+from ...core.validation import validate_mapping
 from ...exceptions import SolverError
 
 __all__ = ["WarmStarts", "decode_warm_starts"]
@@ -35,8 +38,14 @@ WarmStarts = Sequence["IntervalMapping | Mapping[str, Any]"]
 
 def decode_warm_starts(
     warm_starts: WarmStarts | None,
+    application: PipelineApplication,
+    platform: Platform,
 ) -> list[IntervalMapping]:
-    """Normalise a ``warm_starts`` argument to interval mappings.
+    """Normalise a ``warm_starts`` argument to interval mappings that fit
+    the instance.
+
+    Solvers call this before any other work, so a bad warm start is a
+    deterministic input error rather than a crash halfway through.
 
     Raises
     ------
@@ -44,6 +53,9 @@ def decode_warm_starts(
         When an entry is neither an interval mapping nor a serialised
         interval-mapping dict (general mappings have no replica sets and
         cannot seed the interval heuristics).
+    repro.exceptions.InvalidMappingError
+        When a warm start does not cover the application's stages or
+        names a processor the platform lacks.
     """
     if not warm_starts:
         return []
@@ -52,19 +64,19 @@ def decode_warm_starts(
     decoded: list[IntervalMapping] = []
     for entry in warm_starts:
         if isinstance(entry, IntervalMapping):
-            decoded.append(entry)
-            continue
-        if isinstance(entry, Mapping):
+            mapping = entry
+        elif isinstance(entry, Mapping):
             mapping = mapping_from_dict(entry)
             if not isinstance(mapping, IntervalMapping):
                 raise SolverError(
                     "warm starts must be interval mappings, got "
                     f"{type(mapping).__name__}"
                 )
-            decoded.append(mapping)
-            continue
-        raise SolverError(
-            "warm starts must be IntervalMapping objects or serialised "
-            f"mapping dicts, got {type(entry).__name__}"
-        )
+        else:
+            raise SolverError(
+                "warm starts must be IntervalMapping objects or serialised "
+                f"mapping dicts, got {type(entry).__name__}"
+            )
+        validate_mapping(mapping, application, platform)
+        decoded.append(mapping)
     return decoded

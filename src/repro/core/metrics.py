@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .application import PipelineApplication
 from .mapping import GeneralMapping, IntervalMapping
@@ -578,7 +578,7 @@ class EvaluationCache:
         # alloc_1 -> serialized input-send time (heterogeneous only)
         self._in_terms: dict[frozenset[int], float] = {}
         # (mapping, rel terms, their running sums, lat terms, their running
-        # sums) of the last mapping objectives_with substituted into
+        # sums) of the last mapping objectives_with replaced intervals in
         self._base: tuple | None = None
         self.hits = 0
         self.misses = 0
@@ -785,20 +785,18 @@ class EvaluationCache:
         )
 
     # ------------------------------------------------------------------
-    # one-interval substitutions
+    # interval-run replacements
     # ------------------------------------------------------------------
     def _base_terms(self, mapping: IntervalMapping) -> tuple:
         """Per-interval terms of ``mapping`` and their running sums.
 
         ``rel_sums[k]`` / ``lat_sums[k]`` hold the objective folds over
         the terms before interval ``k`` (heterogeneous latency starts
-        from the input term).  Kept for the most recent mapping object,
-        so scoring many substitutions of one mapping looks its
+        from the input term).  Kept as the base of
+        :meth:`objectives_with` while it is passed the same mapping
+        object, so scoring many replacements in one mapping looks its
         unchanged terms up once.
         """
-        base = self._base
-        if base is not None and base[0] is mapping:
-            return base
         intervals = mapping.intervals
         allocations = mapping.allocations
         rel = [self._rel_term(alloc) for alloc in allocations]
@@ -835,59 +833,80 @@ class EvaluationCache:
         return base
 
     def objectives_with(
-        self, mapping: IntervalMapping, j: int, allocation: frozenset[int]
+        self,
+        mapping: IntervalMapping,
+        j: int,
+        k: int,
+        replacement: Sequence[tuple[tuple[int, int], frozenset[int]]],
     ) -> tuple[float, float]:
-        """``(latency, failure probability)`` of ``mapping`` with interval
-        ``j``'s allocation replaced by ``allocation``.
+        """``(latency, failure probability)`` of ``mapping`` with its
+        intervals ``j..j+k-1`` replaced by ``replacement``.
 
-        The substitution changes one FP term, one eq. (1) term or at most
-        two eq. (2) terms (interval ``j`` and the sends into it from
-        interval ``j-1``), plus the input term when ``j == 0``.  Only
-        those are looked up per call; the rest come from the folds of
-        ``mapping``'s own terms, kept while consecutive calls pass the
-        same mapping object.  Terms are added in the order
-        :meth:`latency` and :meth:`failure_probability` use, so both
-        values are bit-identical to evaluating the substituted mapping
-        (a machine-checked property).  ``allocation`` must be disjoint
-        from the other intervals' allocations (checked only when the
-        cache was built with ``check=True``).
+        ``replacement`` lists the new intervals in pipeline order as
+        ``((start, end), allocation)`` pairs; they must cover exactly
+        the stages of the replaced run, and their allocations must be
+        disjoint from the kept intervals' (checked only when the cache
+        was built with ``check=True``).  One enrolment is ``k = 1`` with
+        one pair; every neighbourhood move
+        (:class:`~repro.algorithms.heuristics.neighborhood.Neighborhood`)
+        has ``k <= 2`` and at most two pairs.
+
+        Only the new intervals' terms are looked up, plus the eq. (2)
+        sends of interval ``j-1`` into the first new allocation, plus the
+        input term when ``j == 0``.  The kept prefix comes from the folds
+        of ``mapping``'s own terms, kept while consecutive calls pass the
+        same mapping object, and the kept suffix is re-added term by term
+        in the order :meth:`latency` and :meth:`failure_probability`
+        use, so both values are bit-identical to evaluating the new
+        mapping (a machine-checked property).
         """
         if self.check:
+            intervals = list(mapping.intervals)
             allocations = list(mapping.allocations)
-            allocations[j] = allocation
-            self._check_compatible(IntervalMapping(mapping.intervals, allocations))
-        _, rel, rel_sums, lat, lat_sums = self._base_terms(mapping)
-        p = len(rel)
+            intervals[j : j + k] = [span for span, _ in replacement]
+            allocations[j : j + k] = [alloc for _, alloc in replacement]
+            self._check_compatible(IntervalMapping(intervals, allocations))
+        base = self._base
+        if base is None or base[0] is not mapping:
+            base = self._base_terms(mapping)
+        _, rel, rel_sums, lat, lat_sums = base
+        rest = j + k
         # an interval that surely fails contributes -inf, and
         # -expm1(-inf) is exactly the 1.0 failure_probability returns
-        log_success = rel_sums[j] + self._rel_term(allocation)
-        for term in rel[j + 1 :]:
-            log_success += term
-        iv = mapping.intervals[j]
+        log_success = rel_sums[j]
         if self._uniform:
-            comm, comp = self._uniform_term(iv.start, iv.end, allocation)
             total = lat_sums[j]
-            total += comm
-            total += comp
-            for comm, comp in lat[j + 1 :]:
+            for (start, end), alloc in replacement:
+                log_success += self._rel_term(alloc)
+                comm, comp = self._uniform_term(start, end, alloc)
+                total += comm
+                total += comp
+            for comm, comp in lat[rest:]:
                 total += comm
                 total += comp
             total += self._final_term
         else:
             allocations = mapping.allocations
+            (start, end), alloc = replacement[0]
             if j == 0:
-                total = self._input_term(allocation)
+                total = self._input_term(alloc)
             else:
                 prev = mapping.intervals[j - 1]
                 total = lat_sums[j - 1] + self._het_term(
-                    prev.start, prev.end, allocations[j - 1], allocation
+                    prev.start, prev.end, allocations[j - 1], alloc
                 )
+            log_success += self._rel_term(alloc)
+            # each new interval sends into the next one, the last into
+            # the first kept interval (or to P_out)
+            for (next_start, next_end), next_alloc in replacement[1:]:
+                total += self._het_term(start, end, alloc, next_alloc)
+                log_success += self._rel_term(next_alloc)
+                start, end, alloc = next_start, next_end, next_alloc
             total += self._het_term(
-                iv.start,
-                iv.end,
-                allocation,
-                allocations[j + 1] if j + 1 < p else None,
+                start, end, alloc, allocations[rest] if rest < len(rel) else None
             )
-            for term in lat[j + 1 :]:
+            for term in lat[rest:]:
                 total += term
+        for term in rel[rest:]:
+            log_success += term
         return total, -math.expm1(log_success)

@@ -415,6 +415,9 @@ _spec(
 # v5 (greedy): trials scored from cached interval terms, use_bulk and
 # bulk_backend options removed — mappings unchanged, FP products now in
 # ascending processor order (at most 1 ulp apart), option surface changed
+# v5 (anneal): proposals drawn by index and scored from cached interval
+# terms, use_bulk and bulk_backend options removed — trajectories and
+# results unchanged, option surface changed
 _spec(
     name="single-interval-min-fp",
     func=heuristics.single_interval_minimize_fp,
@@ -491,7 +494,7 @@ _spec(
     warm_startable=True,
     recordable=True,
     description="simulated annealing (latency bound)",
-    version=4,
+    version=5,
 )
 _spec(
     name="anneal-min-latency",
@@ -503,5 +506,5 @@ _spec(
     warm_startable=True,
     recordable=True,
     description="simulated annealing (FP bound)",
-    version=4,
+    version=5,
 )

@@ -42,7 +42,7 @@ def _warm_results(application, platform, warm_starts, solver):
             optimal=False,
             extras={"intervals": mapping.num_intervals, "seed": "warm_start"},
         )
-        for mapping in decode_warm_starts(warm_starts)
+        for mapping in decode_warm_starts(warm_starts, application, platform)
     ]
 
 

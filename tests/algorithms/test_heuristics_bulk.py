@@ -2,13 +2,15 @@
 
 The contract: with ``use_bulk`` on, every heuristic with a bulk path
 must take *identical decisions* to the scalar path — same accepted-move
-sequence (local search, annealing), same grid winner (single-interval)
-— because bulk scores only prefilter and all decisions happen on
-scalar-exact values.  These tests assert that bit-for-bit, including
-the m > MASK_TABLE_LIMIT shapes where the bulk evaluator falls back from
-per-bitmask tables to the boolean bit-matrix kernel.  Greedy has no bulk
-path: it scores trials from cached interval terms, tested against its
-scalar reference loop in ``test_greedy.py``.
+sequence (local search), same grid winner (single-interval) — because
+bulk scores only prefilter and all decisions happen on scalar-exact
+values.  These tests assert that bit-for-bit, including the
+m > MASK_TABLE_LIMIT shapes where the bulk evaluator falls back from
+per-bitmask tables to the boolean bit-matrix kernel.  Greedy and
+annealing have no bulk path: they score trials from cached interval
+terms, tested against their reference loops in ``test_greedy.py`` and
+``test_annealing.py``; the row form of the neighbourhood is tested
+against the indexed one in ``test_neighborhood.py``.
 """
 
 import random
@@ -20,17 +22,8 @@ from hypothesis import strategies as st
 np = pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro.algorithms.heuristics import (
-    AnnealingSchedule,
-    anneal_minimize_fp,
-    anneal_minimize_latency,
     local_search_minimize_fp,
     local_search_minimize_latency,
-    neighbor_block,
-    neighbor_blocks,
-    neighbor_rows,
-    neighbors,
-    random_mapping,
-    row_mapping,
     single_interval_candidates,
     single_interval_mappings,
     single_interval_minimize_fp,
@@ -66,43 +59,8 @@ def _wide_platform(m=MASK_TABLE_LIMIT + 1, seed=0):
 
 
 # ----------------------------------------------------------------------
-# neighbourhood rows and blocks
+# block building
 # ----------------------------------------------------------------------
-class TestNeighborRows:
-    @settings(max_examples=60, deadline=None)
-    @given(app_platform_mapping())
-    def test_rows_decode_to_neighbors_in_order(self, triple):
-        app, plat, mapping = triple
-        scalar = list(neighbors(mapping, plat.size))
-        rows = list(neighbor_rows(mapping, plat.size))
-        assert len(rows) == len(scalar)
-        assert [row_mapping(r, plat.size) for r in rows] == scalar
-
-    @settings(max_examples=25, deadline=None)
-    @given(app_platform_mapping(), st.integers(min_value=1, max_value=7))
-    def test_blocks_chunking_preserves_order(self, triple, block_size):
-        app, plat, mapping = triple
-        scalar = list(neighbors(mapping, plat.size))
-        chunks = list(
-            neighbor_blocks(
-                mapping, app.num_stages, plat.size, block_size=block_size
-            )
-        )
-        assert all(len(b) <= max(block_size, 1) or True for b in chunks)
-        decoded = [m for b in chunks for m in b.mappings()]
-        assert decoded == scalar
-        if scalar:
-            block = neighbor_block(mapping, app.num_stages, plat.size)
-            assert list(block.mappings()) == scalar
-
-    def test_wide_platform_rows(self):
-        plat = _wide_platform()
-        mapping = random_mapping(5, plat.size, random.Random(0))
-        scalar = list(neighbors(mapping, plat.size))
-        rows = list(neighbor_rows(mapping, plat.size))
-        assert [row_mapping(r, plat.size) for r in rows] == scalar
-
-
 class TestBlockBuilder:
     def test_append_widens_and_preserves_order(self):
         builder = BlockBuilder(num_stages=6, num_processors=2, capacity=1)
@@ -131,7 +89,7 @@ class TestBlockBuilder:
 
 
 # ----------------------------------------------------------------------
-# local search and annealing trajectories
+# local search trajectories
 # ----------------------------------------------------------------------
 def _run_both(fn, app, plat, threshold, seed, **opts):
     trace_scalar: list = []
@@ -211,45 +169,6 @@ class TestLocalSearchEquivalence:
         _assert_identical(scalar, bulk)
 
 
-class TestAnnealingEquivalence:
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("seed", range(3))
-    def test_min_fp_walks_identical(self, kind, seed):
-        app, plat = make_instance(kind, n=5, m=4, seed=seed)
-        threshold = _loose_latency_threshold(app, plat)
-        scalar, bulk, t_s, t_b = _run_both(
-            anneal_minimize_fp, app, plat, threshold, seed,
-            schedule=AnnealingSchedule(steps=250),
-        )
-        assert t_s == t_b  # same accepted-state sequence
-        if scalar is not None:
-            assert scalar.mapping == bulk.mapping
-            assert scalar.latency == bulk.latency
-            assert scalar.failure_probability == bulk.failure_probability
-
-    @pytest.mark.parametrize("seed", range(2))
-    def test_min_latency_walks_identical(self, seed):
-        app, plat = make_instance("comm-homogeneous", n=5, m=4, seed=seed)
-        scalar, bulk, t_s, t_b = _run_both(
-            anneal_minimize_latency, app, plat, 0.9, seed,
-            schedule=AnnealingSchedule(steps=250),
-        )
-        assert t_s == t_b
-        if scalar is not None:
-            assert scalar.mapping == bulk.mapping
-
-    def test_wide_platform_walks_identical(self):
-        plat = _wide_platform(seed=3)
-        app, _ = make_instance("comm-homogeneous", n=5, m=4, seed=2)
-        threshold = _loose_latency_threshold(app, plat)
-        scalar, bulk, t_s, t_b = _run_both(
-            anneal_minimize_fp, app, plat, threshold, 1,
-            schedule=AnnealingSchedule(steps=150),
-        )
-        assert t_s == t_b and t_s
-        assert scalar.mapping == bulk.mapping
-
-
 # ----------------------------------------------------------------------
 # single-interval selection
 # ----------------------------------------------------------------------
@@ -302,7 +221,6 @@ class TestRecordedTrajectoryEquivalence:
         [
             ("single-interval-min-fp", {}),
             ("local-search-min-fp", {"seed": 11}),
-            ("anneal-min-fp", {"seed": 11}),
         ],
     )
     def test_scalar_and_bulk_recordings_diff_clean(self, solver, opts):
@@ -331,11 +249,7 @@ class TestUseBulkKnob:
         monkeypatch.setattr(mb, "HAS_NUMPY", False)
         app, plat = make_instance("comm-homogeneous", n=4, m=3, seed=0)
         threshold = _loose_latency_threshold(app, plat)
-        for fn in (
-            local_search_minimize_fp,
-            anneal_minimize_fp,
-            single_interval_minimize_fp,
-        ):
+        for fn in (local_search_minimize_fp, single_interval_minimize_fp):
             with pytest.raises(SolverError, match="requires numpy"):
                 fn(app, plat, threshold, use_bulk=True)
 
@@ -362,18 +276,17 @@ class TestBackendKnob:
         # so this doubles as the jit <-> numpy trajectory-identity check
         app, plat = make_instance("comm-homogeneous", n=5, m=4, seed=1)
         threshold = _loose_latency_threshold(app, plat)
-        for fn in (anneal_minimize_fp, local_search_minimize_fp):
-            t_auto: list = []
-            t_numpy: list = []
-            auto = fn(
-                app, plat, threshold, seed=7, use_bulk=True, trace=t_auto
-            )
-            explicit = fn(
-                app, plat, threshold,
-                seed=7, use_bulk=True, bulk_backend="numpy", trace=t_numpy,
-            )
-            assert t_auto == t_numpy
-            _assert_identical(auto, explicit)
+        t_auto: list = []
+        t_numpy: list = []
+        auto = local_search_minimize_fp(
+            app, plat, threshold, seed=7, use_bulk=True, trace=t_auto
+        )
+        explicit = local_search_minimize_fp(
+            app, plat, threshold,
+            seed=7, use_bulk=True, bulk_backend="numpy", trace=t_numpy,
+        )
+        assert t_auto == t_numpy
+        _assert_identical(auto, explicit)
 
     def test_jit_without_numba_raises(self, monkeypatch):
         import repro.core.metrics_bulk as mb
@@ -381,11 +294,7 @@ class TestBackendKnob:
         monkeypatch.setattr(mb, "HAS_NUMBA", False)
         app, plat = make_instance("comm-homogeneous", n=4, m=3, seed=0)
         threshold = _loose_latency_threshold(app, plat)
-        for fn in (
-            local_search_minimize_fp,
-            anneal_minimize_fp,
-            single_interval_minimize_fp,
-        ):
+        for fn in (local_search_minimize_fp, single_interval_minimize_fp):
             with pytest.raises(SolverError, match="requires numba"):
                 fn(app, plat, threshold, use_bulk=True, bulk_backend="jit")
 
@@ -403,18 +312,6 @@ class TestBackendKnob:
 )
 class TestJitBackendTrajectories:
     """Scalar <-> jit-backed bulk identity, mirroring the numpy legs."""
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_annealing_trajectories_identical(self, kind):
-        app, plat = make_instance(kind, n=6, m=5, seed=2)
-        threshold = _loose_latency_threshold(app, plat)
-        scalar, bulk, t_s, t_b = _run_both(
-            anneal_minimize_fp, app, plat, threshold, 2,
-            bulk_backend="jit",
-        )
-        assert t_s == t_b
-        if scalar is not None:
-            _assert_identical(scalar, bulk)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_local_search_trajectories_identical(self, kind):

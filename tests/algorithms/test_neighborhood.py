@@ -1,18 +1,44 @@
-"""Tests for the local-search neighbourhood over interval mappings."""
+"""Tests for the neighbourhood moves over interval mappings."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.heuristics import (
+    Neighborhood,
+    neighbor_rows,
     neighbors,
     random_mapping,
     random_neighbor,
+    row_mapping,
 )
-from repro.core import IntervalMapping
+from repro.core import IntervalMapping, Platform
 
-from tests.strategies import interval_mappings
+from tests.strategies import app_platform_mapping, interval_mappings
+
+#: move kinds in the order every form of the neighbourhood lists them
+SECTIONS = ("shift", "merge", "split", "add", "drop", "swap")
+
+
+def _kind(mapping, neighbour):
+    """Which move leads from ``mapping`` to ``neighbour`` (read off the
+    two mappings, not off the move encoding)."""
+    p, q = mapping.num_intervals, neighbour.num_intervals
+    if q == p - 1:
+        return "merge"
+    if q == p + 1:
+        return "split"
+    if neighbour.intervals != mapping.intervals:
+        return "shift"
+    (j,) = [
+        j
+        for j, (a, b) in enumerate(zip(mapping.allocations, neighbour.allocations))
+        if a != b
+    ]
+    grown = len(neighbour.allocations[j]) - len(mapping.allocations[j])
+    return {1: "add", -1: "drop", 0: "swap"}[grown]
 
 
 class TestNeighbors:
@@ -73,6 +99,103 @@ class TestNeighbors:
         rng = random.Random(0)
         nb = random_neighbor(mapping, 1, rng)
         assert nb == mapping
+
+
+class TestIndexedNeighborhood:
+    @settings(max_examples=100, deadline=None)
+    @given(app_platform_mapping())
+    def test_moves_match_rows_in_order(self, triple):
+        """Move ``i`` is the ``i``-th row of the independently written
+        row generator, and the ``i``-th mapping :func:`neighbors` yields."""
+        _, plat, mapping = triple
+        neighborhood = Neighborhood(mapping, plat.size)
+        rows = list(neighbor_rows(mapping, plat.size))
+        indexed = [neighborhood[i] for i in range(neighborhood.size)]
+        assert neighborhood.size == len(rows)
+        assert indexed == [row_mapping(r, plat.size) for r in rows]
+        assert indexed == list(neighbors(mapping, plat.size))
+
+    @settings(max_examples=100, deadline=None)
+    @given(app_platform_mapping())
+    def test_move_replaces_one_interval_run(self, triple):
+        """``(j, k, replacement)``: at most two intervals out, one or two
+        in, covering the same stages; the rest of the mapping is kept."""
+        _, plat, mapping = triple
+        neighborhood = Neighborhood(mapping, plat.size)
+        for i in range(neighborhood.size):
+            j, k, replacement = neighborhood.move(i)
+            assert 1 <= k <= 2 and 1 <= len(replacement) <= 2
+            kept = mapping.intervals[j : j + k]
+            assert replacement[0][0][0] == kept[0].start
+            assert replacement[-1][0][1] == kept[-1].end
+            result = neighborhood.apply((j, k, replacement))
+            assert result.intervals[:j] == mapping.intervals[:j]
+            assert result.allocations[:j] == mapping.allocations[:j]
+            tail = len(replacement) - k
+            assert result.intervals[j + k + tail :] == mapping.intervals[j + k :]
+            assert result.allocations[j + k + tail :] == mapping.allocations[j + k :]
+            # the trusted build equals the validating constructor's
+            assert result == IntervalMapping(result.intervals, result.allocations)
+
+    def test_sections_in_documented_order(self):
+        """Shift, merge, split, add, drop, swap — each section non-empty
+        here, with its closed-form count."""
+        mapping = IntervalMapping([(1, 2), (3, 5), (6, 6)], [{2, 4}, {1}, {5}])
+        m = 6  # P3 and P6 unused
+        neighborhood = Neighborhood(mapping, m)
+        kinds = [_kind(mapping, neighborhood[i]) for i in range(neighborhood.size)]
+        counts = {kind: kinds.count(kind) for kind in SECTIONS}
+        assert kinds == [kind for kind in SECTIONS for _ in range(counts[kind])]
+        assert counts == {
+            "shift": 3,  # (1,2)|(3,5) both ways, (3,5)|(6,6) one way
+            "merge": 2,
+            "split": 1 * (1 + 2 * 2) + 2 * (2 * 2),
+            "add": 3 * 2,
+            "drop": 2,
+            "swap": 4 * 2,
+        }
+
+    def test_index_out_of_range(self):
+        neighborhood = Neighborhood(IntervalMapping.single_interval(2, {1}), 2)
+        with pytest.raises(IndexError):
+            neighborhood.move(neighborhood.size)
+        with pytest.raises(IndexError):
+            neighborhood.move(-1)
+
+    def test_single_stage_single_processor_is_empty(self):
+        mapping = IntervalMapping.single_interval(1, {1})
+        assert Neighborhood(mapping, 1).size == 0
+        assert list(neighbors(mapping, 1)) == []
+
+    @given(
+        app_platform_mapping(),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_neighbor_draws_like_choice_over_the_list(self, triple, seed):
+        """One ``rng.choice`` over the indices: the same neighbour and the
+        same rng state as ``rng.choice(list(neighbors(...)))``."""
+        _, plat, mapping = triple
+        indexed, listed = random.Random(seed), random.Random(seed)
+        options = list(neighbors(mapping, plat.size))
+        drawn = random_neighbor(mapping, plat.size, indexed)
+        assert drawn == (listed.choice(options) if options else mapping)
+        assert indexed.getstate() == listed.getstate()
+
+    def test_wide_platform(self):
+        """m > 16: processor bits past the bulk path's mask tables."""
+        rng = random.Random(0)
+        plat = Platform.communication_homogeneous(
+            [rng.uniform(1.0, 8.0) for _ in range(17)],
+            bandwidth=4.0,
+            failure_probabilities=[rng.uniform(0.05, 0.6) for _ in range(17)],
+        )
+        mapping = random_mapping(5, plat.size, rng)
+        neighborhood = Neighborhood(mapping, plat.size)
+        rows = list(neighbor_rows(mapping, plat.size))
+        assert [neighborhood[i] for i in range(neighborhood.size)] == [
+            row_mapping(r, plat.size) for r in rows
+        ]
 
 
 class TestRandomMapping:

@@ -19,7 +19,7 @@ from repro.algorithms.heuristics import (
 from repro.core.mapping import IntervalMapping
 from repro.core.metrics import evaluate
 from repro.core.serialization import mapping_to_dict
-from repro.exceptions import SolverError
+from repro.exceptions import InvalidMappingError, SolverError
 
 from tests.helpers import make_instance
 
@@ -156,6 +156,73 @@ class TestArgumentForms:
         app, plat = instance
         with pytest.raises(SolverError, match="warm starts"):
             greedy_minimize_fp(app, plat, 50.0, warm_starts=[42])
+
+
+class TestIncompatibleWarmStarts:
+    """Every heuristic validates its warm starts against the instance
+    before any work: a bad one is a deterministic input error, not an
+    ``IndexError`` halfway through a descent or an annealing walk."""
+
+    #: (solver, threshold, extra options) for each heuristic entry point
+    ENTRY_POINTS = [
+        (greedy_minimize_fp, 50.0, {}),
+        (greedy_minimize_latency, 0.5, {}),
+        (local_search_minimize_fp, 50.0, {"use_bulk": False}),
+        (local_search_minimize_fp, 50.0, {}),
+        (local_search_minimize_latency, 0.5, {"use_bulk": False}),
+        (local_search_minimize_latency, 0.5, {}),
+        (anneal_minimize_fp, 50.0, {}),
+        (anneal_minimize_latency, 0.5, {}),
+    ]
+
+    @pytest.mark.parametrize(("solver", "threshold", "opts"), ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        ("bogus", "match"),
+        [
+            (IntervalMapping([(1, 2), (3, 4)], [{1}, {7}]), "P7"),
+            (IntervalMapping([(1, 4)], [{0}]), "P0"),
+            (IntervalMapping([(1, 2), (3, 5)], [{1}, {2}]), "5 stages"),
+        ],
+        ids=["processor-past-m", "processor-zero", "stage-count"],
+    )
+    def test_rejected_before_any_work(self, solver, threshold, opts, bogus, match):
+        app, plat = make_instance("comm-homogeneous", n=4, m=3, seed=0)
+        good = IntervalMapping.single_interval(4, {1})
+        for warm_starts in ([bogus], [good, mapping_to_dict(bogus)]):
+            with pytest.raises(InvalidMappingError, match=match):
+                solver(app, plat, threshold, warm_starts=warm_starts, **opts)
+
+    @pytest.mark.parametrize(
+        ("name", "threshold"),
+        [
+            ("greedy-min-fp", 50.0),
+            ("local-search-min-fp", 50.0),
+            ("anneal-min-fp", 50.0),
+            ("anneal-min-latency", 0.5),
+        ],
+    )
+    def test_batch_verdict_is_invalid(self, name, threshold):
+        """Through ``run_batch`` the verdict is deterministic (never
+        retried, storable), not a crash."""
+        from repro import api
+        from repro.engine.policy import ErrorKind
+
+        app, plat = make_instance("comm-homogeneous", n=4, m=3, seed=0)
+        bogus = mapping_to_dict(IntervalMapping([(1, 2), (3, 4)], [{1}, {7}]))
+        (outcome,) = api.run_batch(
+            [
+                api.BatchTask(
+                    name,
+                    app,
+                    plat,
+                    threshold=threshold,
+                    opts={"warm_starts": [bogus]},
+                )
+            ]
+        )
+        assert not outcome.ok
+        assert outcome.error_kind is ErrorKind.INVALID
+        assert "P7" in outcome.error
 
 
 class TestEngineDispatch:

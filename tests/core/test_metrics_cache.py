@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.heuristics import Neighborhood
 from repro.core import (
     EvaluationCache,
     IntervalMapping,
@@ -271,12 +272,31 @@ class TestSharedTerms:
 
 
 # ----------------------------------------------------------------------
-# one-interval substitutions (objectives_with)
+# interval-run replacements (objectives_with)
 # ----------------------------------------------------------------------
 def _substituted(mapping, j, allocation):
     allocations = list(mapping.allocations)
     allocations[j] = allocation
     return IntervalMapping(mapping.intervals, allocations)
+
+
+def _with(cache, mapping, j, allocation):
+    """The k = 1 case: interval ``j`` kept, its allocation replaced."""
+    iv = mapping.intervals[j]
+    return cache.objectives_with(mapping, j, 1, (((iv.start, iv.end), allocation),))
+
+
+def _assert_moves_exact(cache, app, platform, mapping):
+    """Every neighbourhood move of ``mapping`` (k <= 2 intervals out, one
+    or two in) scored against the plain functions on the moved mapping."""
+    neighborhood = Neighborhood(mapping, platform.size)
+    for i in range(neighborhood.size):
+        move = neighborhood.move(i)
+        moved = neighborhood.apply(move)
+        assert cache.objectives_with(mapping, *move) == (
+            latency(moved, app, platform, one_port=cache.one_port),
+            failure_probability(moved, platform),
+        )
 
 
 def _assert_substitutions_exact(cache, app, platform, mapping, draw_allocation):
@@ -287,13 +307,42 @@ def _assert_substitutions_exact(cache, app, platform, mapping, draw_allocation):
     for j, own in enumerate(mapping.allocations):
         allocation = draw_allocation(sorted(own) + free)
         trial = _substituted(mapping, j, allocation)
-        assert cache.objectives_with(mapping, j, allocation) == (
+        assert _with(cache, mapping, j, allocation) == (
             latency(trial, app, platform, one_port=cache.one_port),
             failure_probability(trial, platform),
         )
 
 
 class TestObjectivesWith:
+    @given(app_platform_mapping())
+    @settings(max_examples=150, deadline=None)
+    def test_every_neighbourhood_move_exact(self, triple):
+        """Shift, merge and split replace two intervals or add one; the
+        folds around the replaced run stay bit-identical."""
+        app, platform, mapping = triple
+        _assert_moves_exact(EvaluationCache(app, platform), app, platform, mapping)
+
+    @given(
+        app_platform_mapping(
+            fully_heterogeneous_platforms(min_processors=2, max_processors=5)
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_neighbourhood_move_exact_multi_port(self, triple):
+        app, platform, mapping = triple
+        cache = EvaluationCache(app, platform, one_port=False)
+        _assert_moves_exact(cache, app, platform, mapping)
+
+    @given(mapping_walks(steps=4))
+    @settings(max_examples=60, deadline=None)
+    def test_moves_along_walks(self, walk_triple):
+        """One cache scoring the moves of each state of a walk in turn:
+        the base folds follow the mapping object, never go stale."""
+        app, platform, walk = walk_triple
+        cache = EvaluationCache(app, platform)
+        for mapping in walk + walk[::-1]:
+            _assert_moves_exact(cache, app, platform, mapping)
+
     @given(app_platform_mapping(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_substituted_mapping_exactly(self, triple, data):
@@ -346,7 +395,7 @@ class TestObjectivesWith:
             own = mapping.allocations
             for j in (0, len(own) - 1):
                 trial = _substituted(mapping, j, own[j])
-                assert cache.objectives_with(mapping, j, own[j]) == (
+                assert _with(cache, mapping, j, own[j]) == (
                     latency(trial, app, platform),
                     failure_probability(trial, platform),
                 )
@@ -381,21 +430,32 @@ class TestObjectivesWith:
         ]
         for mapping, j, allocation in cases:
             trial = _substituted(mapping, j, allocation)
-            lat, fp = cache.objectives_with(mapping, j, allocation)
+            lat, fp = _with(cache, mapping, j, allocation)
             assert lat == latency(trial, app, platform)
             assert fp == failure_probability(trial, platform)
             assert (fp == 1.0) == (allocation != frozenset({1, 3}))
+        # every move of both mappings: merges repair the failing interval
+        # or carry it along, splits and swaps create or keep it
+        for mapping in (healthy, failing):
+            _assert_moves_exact(cache, app, platform, mapping)
 
     def test_check_flag_validates_the_substituted_mapping(self):
         app = PipelineApplication(works=(1.0, 1.0), volumes=(1.0, 1.0, 1.0))
         platform = Platform.fully_homogeneous(3, failure_probability=0.1)
         mapping = IntervalMapping([(1, 1), (2, 2)], [{1}, {2}])
         cache = EvaluationCache(app, platform, check=True)
-        assert cache.objectives_with(mapping, 1, frozenset({2, 3})) == (
+        assert _with(cache, mapping, 1, frozenset({2, 3})) == (
             cache.latency(_substituted(mapping, 1, {2, 3})),
             cache.failure_probability(_substituted(mapping, 1, {2, 3})),
         )
         with pytest.raises(InvalidMappingError):
-            cache.objectives_with(mapping, 1, frozenset({2, 7}))
+            _with(cache, mapping, 1, frozenset({2, 7}))
         with pytest.raises(InvalidMappingError):
-            cache.objectives_with(mapping, 1, frozenset({1, 2}))
+            _with(cache, mapping, 1, frozenset({1, 2}))
+        # two intervals replaced by one that does not cover their stages
+        with pytest.raises(InvalidMappingError):
+            cache.objectives_with(mapping, 0, 2, (((1, 1), frozenset({1})),))
+        merged = IntervalMapping.single_interval(2, {1, 2})
+        assert cache.objectives_with(
+            mapping, 0, 2, (((1, 2), frozenset({1, 2})),)
+        ) == (cache.latency(merged), cache.failure_probability(merged))

@@ -19,11 +19,13 @@ HEURISTICS = [
     "anneal-min-fp",
 ]
 #: heuristics with a bulk evaluation path (a ``use_bulk`` option);
-#: greedy scores its trials from cached interval terms instead
-BULK_HEURISTICS = [s for s in HEURISTICS if s != "greedy-min-fp"]
+#: greedy and annealing score their trials from cached interval terms
+#: instead
+CACHED_HEURISTICS = ["greedy-min-fp", "anneal-min-fp"]
+BULK_HEURISTICS = [s for s in HEURISTICS if s not in CACHED_HEURISTICS]
 #: every (solver, use_bulk) leg; None leaves the option out
 PATHS = [(s, b) for s in BULK_HEURISTICS for b in (False, True)] + [
-    ("greedy-min-fp", None)
+    (s, None) for s in CACHED_HEURISTICS
 ]
 
 
@@ -93,10 +95,7 @@ class TestScalarVsBulk:
 
     @pytest.mark.parametrize("solver", BULK_HEURISTICS)
     def test_all_heuristic_paths_agree(self, solver, instance):
-        opts = {"seed": 3} if solver in (
-            "local-search-min-fp",
-            "anneal-min-fp",
-        ) else {}
+        opts = {"seed": 3} if solver == "local-search-min-fp" else {}
         _, scalar = _record(solver, instance, use_bulk=False, **opts)
         _, bulk = _record(solver, instance, use_bulk=True, **opts)
         report = diff_runs(scalar, bulk)

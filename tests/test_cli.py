@@ -602,18 +602,17 @@ class TestReplayCommand:
         assert "match" in capsys.readouterr().out
 
     @pytest.mark.parametrize("use_bulk", ["on", "off"])
+    @pytest.mark.parametrize("solver", ["greedy-min-fp", "anneal-min-fp"])
     def test_use_bulk_for_solver_without_bulk_path(
-        self, capsys, tmp_path, use_bulk
+        self, capsys, tmp_path, solver, use_bulk
     ):
         store = tmp_path / "rec.json"
         for action in ("verify", "record"):
             argv = [
-                "replay", action, "--solver", "greedy-min-fp",
+                "replay", action, "--solver", solver,
                 "--use-bulk", use_bulk, "--store", str(store),
             ]
             assert main(argv) == 2
             out = capsys.readouterr().out
-            assert "'greedy-min-fp'" in out and "--use-bulk" in out
-        assert main(
-            ["replay", "verify", "--solver", "greedy-min-fp"]
-        ) == 0
+            assert f"'{solver}'" in out and "--use-bulk" in out
+        assert main(["replay", "verify", "--solver", solver]) == 0
