@@ -1,24 +1,17 @@
-"""E22 — the unified sweep engine: warm-start chains and shared caches.
+"""E22 — the unified sweep engine: warm-start chains.
 
-Quantifies the two sweep-engine claims on heuristic threshold grids
-where exhaustive enumeration is impossible (n=40, m=10):
-
-* **warm-start chaining** — with ``warm_start="chain"`` the accepted
-  mapping at threshold ``t_i`` seeds the solver at ``t_{i+1}`` and the
-  chained points run with a reduced restart budget; the target is
-  >=2x wall-clock over the cold sweep on a 20-point grid with
-  never-worse objectives at every threshold (asserted per point);
-* **shared evaluation-cache hand-off** — pre-computed per-interval
-  terms are shared across a sweep's solves (serially by reference,
-  across pool workers via a snapshot shipped in the pool initializer)
-  instead of every solver call rebuilding its own
-  :class:`~repro.core.metrics.EvaluationCache`; identical results,
-  measured as batch timing with the hand-off on vs off.
+Quantifies the sweep engine's warm-start claim on heuristic threshold
+grids where exhaustive enumeration is impossible (n=40, m=10): with
+``warm_start="chain"`` the accepted mapping at threshold ``t_i`` seeds
+the solver at ``t_{i+1}`` and the chained points run with a reduced
+restart budget; the target is >=2x wall-clock over the cold sweep on a
+20-point grid with never-worse objectives at every threshold (asserted
+per point).
 """
 
 import time
 
-from repro.api import SweepPlan, run_sweep, threshold_sweep
+from repro.api import SweepPlan, run_sweep
 from repro.analysis.frontier import latency_grid
 from tests.helpers import make_instance
 
@@ -30,13 +23,6 @@ GRID_POINTS = 20
 
 def _instance():
     return make_instance("comm-homogeneous", n=N, m=M, seed=SEED)
-
-
-def _objectives(cell):
-    return [
-        (o.result.failure_probability, o.result.latency) if o.ok else None
-        for o in cell.outcomes
-    ]
 
 
 def test_e22_warm_vs_cold_chained_sweep():
@@ -88,95 +74,6 @@ def test_e22_warm_vs_cold_chained_sweep():
     )
     assert worse == 0
     assert speedup >= 2.0, f"warm-start chain speedup only {speedup:.2f}x"
-
-
-def _best_of(repeats, fn):
-    best, value = None, None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        value = fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, value
-
-
-def test_e22_shared_cache_serial_sweep():
-    """Serial sweeps share one live term set across all grid points.
-
-    The guarantee is *identical results with the rebuild cost removed*;
-    the wall-clock effect is modest by design (within one solve the
-    cache already memoizes each term, so cross-solve sharing only saves
-    the first-touch misses) — the headline sweep speedup comes from
-    warm-start chaining above.
-    """
-    app, plat = _instance()
-    grid = latency_grid(app, plat, num_points=12)
-    solver = "anneal-min-fp"
-
-    off_time, off = _best_of(
-        2,
-        lambda: threshold_sweep(
-            solver, app, plat, grid, seed=0, shared_cache=False
-        ),
-    )
-    on_time, on = _best_of(
-        2,
-        lambda: threshold_sweep(
-            solver, app, plat, grid, seed=0, shared_cache=True
-        ),
-    )
-
-    assert [
-        (o.ok, o.result.objectives if o.ok else None) for o in on
-    ] == [(o.ok, o.result.objectives if o.ok else None) for o in off]
-    speedup = off_time / max(on_time, 1e-9)
-    report(
-        f"E22: shared evaluation cache, serial sweep "
-        f"({solver}, n={N}, m={M}, {len(grid)} points)",
-        ("path", "seconds", "speedup"),
-        [
-            ("per-call caches (off)", f"{off_time:.3f}", "1.0x"),
-            ("shared term set (on)", f"{on_time:.3f}", f"{speedup:.2f}x"),
-        ],
-    )
-    # identical results are the hard guarantee; the perf win is modest
-    # (the pool terms are a fraction of a solve) but must not regress
-    # into a slowdown beyond measurement noise
-    assert speedup > 0.7
-
-
-def test_e22_shared_cache_worker_snapshot():
-    """Pool workers start from the parent's term snapshot instead of
-    rebuilding their caches from nothing."""
-    app, plat = _instance()
-    grid = latency_grid(app, plat, num_points=12)
-    solver = "anneal-min-fp"
-    plan = SweepPlan.single(app, plat, solver, grid)
-
-    off_time, off = _best_of(
-        2,
-        lambda: run_sweep(plan, seed=0, workers=2, shared_cache=False).cells[
-            0
-        ],
-    )
-    on_time, on = _best_of(
-        2,
-        lambda: run_sweep(plan, seed=0, workers=2, shared_cache=True).cells[0],
-    )
-
-    assert _objectives(on) == _objectives(off)
-    speedup = off_time / max(on_time, 1e-9)
-    report(
-        f"E22: shared-cache snapshot to pool workers "
-        f"({solver}, workers=2, {len(grid)} points)",
-        ("path", "seconds", "speedup"),
-        [
-            ("per-worker cold caches", f"{off_time:.3f}", "1.0x"),
-            ("parent snapshot shipped", f"{on_time:.3f}", f"{speedup:.2f}x"),
-        ],
-    )
-    assert speedup > 0.6  # never a structural slowdown
 
 
 def test_e22_bench_chained_sweep(benchmark):

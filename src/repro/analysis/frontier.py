@@ -19,7 +19,7 @@ from ..algorithms.result import SolverResult
 from ..core.application import PipelineApplication
 from ..core.pareto import BiCriteriaPoint, pareto_front
 from ..core.platform import Platform
-from ..exceptions import InfeasibleProblemError, SolverError
+from ..exceptions import InfeasibleProblemError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.store import ResultStore
@@ -104,7 +104,6 @@ def sweep_frontier(
     seed: int | None = None,
     store: "ResultStore | None" = None,
     warm_start: str = "off",
-    shared_cache: bool = True,
 ) -> list[BiCriteriaPoint]:
     """Heuristic frontier: sweep latency thresholds through a min-FP solver.
 
@@ -115,11 +114,10 @@ def sweep_frontier(
     names additionally unlock parallel sweeps — with ``workers`` the
     thresholds are sharded across processes by the engine's batch
     executor, with results identical to the serial sweep — result reuse
-    via a :class:`~repro.engine.store.ResultStore` (``store``), the
-    shared evaluation-cache hand-off (``shared_cache``) and warm-start
-    chaining (``warm_start="chain"``; monotone grids, warm-startable
-    solvers).  Thresholds where the solver reports infeasibility are
-    skipped; duplicate grid points are solved once.
+    via a :class:`~repro.engine.store.ResultStore` (``store``) and
+    warm-start chaining (``warm_start="chain"``; monotone grids,
+    warm-startable solvers).  Thresholds where the solver reports
+    infeasibility are skipped; duplicate grid points are solved once.
 
     Exhaustive sweeps keep their one-pass fast path: when the solver is
     the exhaustive min-FP solver (by name or callable), numpy is
@@ -154,7 +152,6 @@ def sweep_frontier(
                     workers=workers,
                     seed=seed,
                     store=store,
-                    shared_cache=shared_cache,
                     in_order=True,
                 )
             )

@@ -30,10 +30,9 @@ Subcommands
 ``sweep``
     Run a declarative sweep spec (JSON file: instances × solvers ×
     threshold grid, see :mod:`repro.engine.sweeps`) through the unified
-    sweep engine — duplicate dedup, shared evaluation caches,
-    ``--warm-start chain`` for warm-start chaining — and print each
-    cell's Pareto frontier.  ``--list-scenarios`` dumps the scenario
-    registry usable in specs.
+    sweep engine — duplicate dedup, ``--warm-start chain`` for
+    warm-start chaining — and print each cell's Pareto frontier.
+    ``--list-scenarios`` dumps the scenario registry usable in specs.
 ``replay``
     Deterministic record/replay of solver runs
     (:mod:`repro.engine.recorder` / :mod:`repro.engine.replay`):
@@ -245,11 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["off", "chain"],
         default=None,
         help="override the spec's warm_start knob",
-    )
-    sweep.add_argument(
-        "--no-shared-cache",
-        action="store_true",
-        help="disable the shared evaluation-cache hand-off",
     )
     sweep.add_argument(
         "--workers",
@@ -1006,7 +1000,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         seed=args.seed,
         store=store,
-        shared_cache=not args.no_shared_cache,
     )
     cells = []
     try:

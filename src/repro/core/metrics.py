@@ -46,9 +46,8 @@ serialisation cost replication?).  It is *not* part of the paper's model.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from .application import PipelineApplication
 from .mapping import GeneralMapping, IntervalMapping
@@ -69,11 +68,6 @@ __all__ = [
     "MappingEvaluation",
     "evaluate",
     "EvaluationCache",
-    "instance_token",
-    "shared_cache_terms",
-    "install_shared_terms",
-    "export_shared_terms",
-    "clear_shared_terms",
 ]
 
 
@@ -387,130 +381,6 @@ def evaluate(
 
 
 # ----------------------------------------------------------------------
-# shared evaluation terms (cross-call / cross-process cache hand-off)
-# ----------------------------------------------------------------------
-#: process-global registry of shared term sets, keyed by
-#: ``(instance_token, one_port)``.  Empty by default (zero overhead);
-#: populated explicitly via :func:`install_shared_terms` — typically by
-#: the sweep engine in the parent process and by the pool initializer in
-#: workers.
-_SHARED_TERMS: dict[tuple[str, bool], dict[str, dict]] = {}
-
-
-def instance_token(
-    application: PipelineApplication, platform: Platform
-) -> str:
-    """Canonical identity string of one ``(application, platform)`` pair.
-
-    Two instances share evaluation terms iff their tokens are equal; the
-    token is the canonical JSON of the serialised instance, so equality
-    is exact (same works, volumes, speeds, failure probabilities and
-    topology) across processes and sessions.
-    """
-    from .serialization import (
-        application_to_dict,
-        canonical_json,
-        platform_to_dict,
-    )
-
-    return canonical_json(
-        {
-            "application": application_to_dict(application),
-            "platform": platform_to_dict(platform),
-        }
-    )
-
-
-def install_shared_terms(
-    application: PipelineApplication,
-    platform: Platform,
-    *,
-    one_port: bool = True,
-    terms: Mapping[str, dict] | None = None,
-    token: str | None = None,
-) -> dict[str, dict]:
-    """Install (or fetch) the live shared term set for an instance.
-
-    Returns the registry's mutable ``{"lat": .., "rel": .., "in": ..}``
-    dicts.  Every :class:`EvaluationCache` subsequently built for the
-    same instance (and ``one_port`` flag) adopts these dicts *by
-    reference*, so terms computed by one solver call are reused by the
-    next — the cross-call hand-off that makes threshold sweeps share one
-    cache instead of rebuilding it per threshold.  Sharing is safe
-    because each term is a pure function of its key for a fixed
-    instance: every cache would compute the identical value.
-
-    ``terms`` (e.g. a parent-process snapshot from
-    :func:`export_shared_terms`) seeds the set; an already-installed set
-    is updated in place, never replaced.  ``token`` skips recomputing
-    :func:`instance_token` when the caller already has it.
-    """
-    key = (
-        token if token is not None else instance_token(application, platform),
-        one_port,
-    )
-    shared = _SHARED_TERMS.get(key)
-    if shared is None:
-        shared = {"lat": {}, "rel": {}, "in": {}}
-        _SHARED_TERMS[key] = shared
-    if terms is not None:
-        for part in ("lat", "rel", "in"):
-            shared[part].update(terms.get(part, {}))
-    return shared
-
-
-def export_shared_terms(
-    application: PipelineApplication,
-    platform: Platform,
-    *,
-    one_port: bool = True,
-) -> dict[str, dict] | None:
-    """Picklable snapshot of an instance's shared term set (or None).
-
-    The returned dicts are shallow copies: safe to ship to worker
-    processes (all keys/values are ints, floats and frozensets) without
-    exposing the parent's live registry to mutation.
-    """
-    key = (instance_token(application, platform), one_port)
-    shared = _SHARED_TERMS.get(key)
-    if shared is None:
-        return None
-    return {part: dict(shared[part]) for part in ("lat", "rel", "in")}
-
-
-def clear_shared_terms() -> None:
-    """Drop every installed shared term set (frees the memory)."""
-    _SHARED_TERMS.clear()
-
-
-@contextmanager
-def shared_cache_terms(
-    application: PipelineApplication,
-    platform: Platform,
-    *,
-    one_port: bool = True,
-    terms: Mapping[str, dict] | None = None,
-) -> Iterator[dict[str, dict]]:
-    """Scope a shared term set to a ``with`` block.
-
-    Installs the set on entry (seeding it with ``terms`` if given) and
-    removes *that instance's* entry on exit, leaving unrelated entries —
-    and the registry state of other instances — untouched.
-    """
-    token = instance_token(application, platform)
-    key = (token, one_port)
-    existed = key in _SHARED_TERMS
-    shared = install_shared_terms(
-        application, platform, one_port=one_port, terms=terms, token=token
-    )
-    try:
-        yield shared
-    finally:
-        if not existed:
-            _SHARED_TERMS.pop(key, None)
-
-
-# ----------------------------------------------------------------------
 # memoized evaluation
 # ----------------------------------------------------------------------
 class EvaluationCache:
@@ -587,20 +457,6 @@ class EvaluationCache:
         # here (repro.engine.recorder); None keeps the hot path at one
         # falsy check per term
         self.event_hook: Callable[[str, bool], None] | None = None
-        # adopt the process-global shared term set when one is installed
-        # for this exact instance: terms computed by any cache (in this
-        # process, or shipped from the parent via a snapshot) are then
-        # reused instead of recomputed.  The registry is empty unless a
-        # caller opted in (see install_shared_terms), so the common case
-        # costs one falsy check.
-        if _SHARED_TERMS:
-            shared = _SHARED_TERMS.get(
-                (instance_token(application, platform), one_port)
-            )
-            if shared is not None:
-                self._lat_terms = shared["lat"]
-                self._rel_terms = shared["rel"]
-                self._in_terms = shared["in"]
 
     # ------------------------------------------------------------------
     @property
@@ -616,33 +472,6 @@ class EvaluationCache:
 
     def _check_compatible(self, mapping: IntervalMapping) -> None:
         validate_mapping(mapping, self.application, self.platform)
-
-    def export_terms(self) -> dict[str, dict]:
-        """Picklable snapshot of the accumulated per-interval terms.
-
-        Shallow copies of the term dicts (keys/values are ints, floats
-        and frozensets): ship them to another process and feed them to
-        :meth:`preload` — or :func:`install_shared_terms` — and that
-        cache starts warm instead of cold, with bit-identical results
-        (preloaded terms are exactly what it would have computed).
-        """
-        return {
-            "lat": dict(self._lat_terms),
-            "rel": dict(self._rel_terms),
-            "in": dict(self._in_terms),
-        }
-
-    def preload(self, terms: Mapping[str, dict]) -> None:
-        """Merge a term snapshot (from :meth:`export_terms`) into the cache.
-
-        The caller asserts the snapshot was computed for the *same*
-        ``(application, platform, one_port)`` — preloading foreign terms
-        silently corrupts every later evaluation.  Preloaded terms are
-        not counted as hits or misses.
-        """
-        self._lat_terms.update(terms.get("lat", {}))
-        self._rel_terms.update(terms.get("rel", {}))
-        self._in_terms.update(terms.get("in", {}))
 
     # ------------------------------------------------------------------
     # failure probability

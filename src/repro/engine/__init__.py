@@ -23,31 +23,34 @@ parallel, fault-isolated solving service:
 * :mod:`repro.engine.sweeps` — the unified sweep engine: declarative
   :class:`SweepPlan`\\ s (instances × solvers × threshold grids, JSON
   spec round-trip, scenario-generator references) compiled to one task
-  graph and executed with duplicate dedup, a shared evaluation-cache
-  hand-off (serial *and* cross-process) and warm-start chaining for the
-  heuristics; :func:`iter_sweep` streams finished cells (or per-point
-  outcomes) as they complete, :func:`run_sweep` drains the stream;
+  graph and executed with duplicate dedup and warm-start chaining for
+  the heuristics; :func:`iter_sweep` streams finished cells (or
+  per-point outcomes) as they complete, :func:`run_sweep` drains the
+  stream;
 * :mod:`repro.engine.recorder` / :mod:`repro.engine.replay` —
   deterministic record/replay: :func:`record_run` captures a solver run
   as an append-only event log persisted in the store, and
   :func:`replay_run` / :func:`diff_runs` re-execute and halt at the
   first divergence with structured diagnostics.
 
+The supported entry points are re-exported by :mod:`repro.api`;
+package-level access to the facade-covered names here warns.
+
 Quickstart::
 
-    from repro import engine
+    from repro import api
     from repro.workloads.synthetic import random_application, random_platform
 
     app = random_application(4, seed=0)
     plat = random_platform(4, "comm-homogeneous", seed=1)
 
-    result = engine.solve("local-search-min-fp", app, plat, threshold=30.0)
+    result = api.solve("local-search-min-fp", app, plat, threshold=30.0)
 
     # stream a sweep with fault isolation, retries and a warm store
-    store = engine.open_store("results.sqlite")
-    policy = engine.BatchPolicy(retries=1, timeout=30.0)
-    for outcome in engine.iter_batch(
-        [engine.BatchTask("greedy-min-fp", app, plat, threshold=t)
+    store = api.open_store("results.sqlite")
+    policy = api.BatchPolicy(retries=1, timeout=30.0)
+    for outcome in api.iter_batch(
+        [api.BatchTask("greedy-min-fp", app, plat, threshold=t)
          for t in (10, 20, 30, 40)],
         workers=4, policy=policy, store=store,
     ):

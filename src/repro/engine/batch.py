@@ -39,9 +39,8 @@ nodes carry ``depends_on`` edges and are dispatched to the same
 multiprocessing pool the moment their dependencies resolve, so
 independent chains interleave freely while ordered work (e.g. the sweep
 engine's warm-start chains, where point ``i`` seeds point ``i+1``) stays
-ordered.  Per-node deterministic seeding, fault isolation, store reuse
-and the ``initializer`` hand-off all carry over from the flat batch
-path unchanged.
+ordered.  Per-node deterministic seeding, fault isolation and store
+reuse all carry over from the flat batch path unchanged.
 """
 
 from __future__ import annotations
@@ -335,8 +334,6 @@ def iter_batch(
     chunksize: int | None = 1,
     in_order: bool = True,
     max_buffered: int | None = None,
-    initializer: Any = None,
-    initargs: tuple = (),
 ) -> Iterator[BatchOutcome]:
     """Execute a batch, yielding outcomes as tasks complete.
 
@@ -388,12 +385,6 @@ def iter_batch(
         slack.  ``chunksize`` is ignored on this path (dispatch is
         per-task by construction).  Ignored for serial and
         ``in_order=False`` runs, which never buffer.
-    initializer / initargs:
-        Run once in every *worker process* before it takes tasks
-        (forwarded to ``multiprocessing.Pool``).  The sweep engine uses
-        this to ship a pre-computed evaluation-cache snapshot to
-        workers; serial runs skip it (the parent's process state is
-        already live).
 
     Raises
     ------
@@ -462,9 +453,7 @@ def iter_batch(
         # full task count would lump a mostly-warm batch's few misses
         # into one worker's chunk
         chunksize = max(1, len(misses) // workers)
-    with multiprocessing.Pool(
-        processes=workers, initializer=initializer, initargs=initargs
-    ) as pool:
+    with multiprocessing.Pool(processes=workers) as pool:
         if in_order and max_buffered is not None:
             # windowed dispatch: at most max_buffered + 1 tasks are in
             # flight or completed-but-unyielded at once, so a stalled
@@ -526,13 +515,11 @@ def run_batch(
     policy: BatchPolicy | None = None,
     store: ResultStore | None = None,
     chunksize: int | None = None,
-    initializer: Any = None,
-    initargs: tuple = (),
 ) -> list[BatchOutcome]:
     """Execute a batch of solver tasks, returning outcomes in task order.
 
     A convenience wrapper over :func:`iter_batch` (which see for the
-    ``policy``/``store``/``initializer`` semantics): the whole batch is
+    ``policy``/``store`` semantics): the whole batch is
     drained into a list.  ``chunksize`` defaults to an even split of the
     dispatched tasks across workers — better dispatch amortisation than
     the streaming default, identical results.
@@ -546,8 +533,6 @@ def run_batch(
             store=store,
             chunksize=chunksize,
             in_order=True,
-            initializer=initializer,
-            initargs=initargs,
         )
     )
 
@@ -564,7 +549,6 @@ def threshold_sweep(
     store: ResultStore | None = None,
     opts: Mapping[str, Any] | None = None,
     warm_start: str = "off",
-    shared_cache: bool = True,
 ) -> list[BatchOutcome]:
     """Run one threshold query per value over a single instance.
 
@@ -572,8 +556,7 @@ def threshold_sweep(
     sweep engine (:mod:`repro.engine.sweeps`): outcomes are returned in
     threshold order, infeasible thresholds showing up as failed outcomes
     rather than aborting the sweep.  Duplicate thresholds are solved
-    once and fanned back out to every grid position; adjacent points
-    share pre-computed evaluation terms (``shared_cache``); and
+    once and fanned back out to every grid position, and
     ``warm_start="chain"`` chains the accepted mapping of each point
     into the next solve on monotone grids (warm-startable solvers
     only).  With a ``store``, re-running a sweep over a previously
@@ -599,7 +582,6 @@ def threshold_sweep(
         seed=seed,
         policy=policy,
         store=store,
-        shared_cache=shared_cache,
     )
     return list(result.cells[0].outcomes)
 
@@ -755,8 +737,6 @@ def iter_graph(
     policy: BatchPolicy | None = None,
     store: ResultStore | None = None,
     on_dep_failure: str = "run",
-    initializer: Any = None,
-    initargs: tuple = (),
 ) -> Iterator[tuple[str, BatchOutcome]]:
     """Execute a task graph, yielding ``(node_name, outcome)`` pairs.
 
@@ -781,9 +761,8 @@ def iter_graph(
     * **store reuse** — standard nodes probe the store *after*
       resolution (a warm-start seed is part of the key), hits resolve
       without dispatching, new deterministic outcomes are written back.
-      A fully store-warm graph never creates the worker pool at all;
-    * **initializer hand-off** — forwarded to the pool (created lazily
-      on the first real dispatch).
+      A fully store-warm graph never creates the worker pool at all
+      (the pool is created lazily on the first real dispatch).
 
     Raises
     ------
@@ -931,11 +910,7 @@ def iter_graph(
                 fn = node.runner if node.runner is not None else _execute
                 if parallel:
                     if pool is None:
-                        pool = multiprocessing.Pool(
-                            processes=workers,
-                            initializer=initializer,
-                            initargs=initargs,
-                        )
+                        pool = multiprocessing.Pool(processes=workers)
                     name = node.name
                     pool.apply_async(
                         fn,
@@ -1004,8 +979,6 @@ def run_graph(
     policy: BatchPolicy | None = None,
     store: ResultStore | None = None,
     on_dep_failure: str = "run",
-    initializer: Any = None,
-    initargs: tuple = (),
 ) -> dict[str, BatchOutcome | list[BatchOutcome]]:
     """Execute a task graph, returning ``{node name: outcome(s)}``.
 
@@ -1022,8 +995,6 @@ def run_graph(
         policy=policy,
         store=store,
         on_dep_failure=on_dep_failure,
-        initializer=initializer,
-        initargs=initargs,
     ):
         collected.setdefault(name, []).append(outcome)
     multi = {n.name for n in nodes if n.runner is not None}

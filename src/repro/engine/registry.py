@@ -22,6 +22,7 @@ instances.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
@@ -212,8 +213,8 @@ def solve(
     Raises
     ------
     repro.exceptions.SolverError
-        For unknown solvers, a missing/superfluous threshold, or a
-        platform outside the solver's declared domain.  Whatever the
+        For unknown solvers, a missing/superfluous or NaN threshold, or
+        a platform outside the solver's declared domain.  Whatever the
         underlying solver raises (``InfeasibleProblemError``, size-guard
         ``SolverError``...) propagates unchanged.
     """
@@ -223,6 +224,10 @@ def solve(
         raise SolverError(f"solver {name!r} requires a {bound} threshold")
     if not spec.needs_threshold and threshold is not None:
         raise SolverError(f"solver {name!r} does not take a threshold")
+    # every comparison with NaN is False, so a NaN bound would silently
+    # accept any mapping; +-inf stay valid bounds
+    if isinstance(threshold, float) and math.isnan(threshold):
+        raise SolverError(f"solver {name!r} got a NaN threshold")
     if not spec.supports(platform):
         raise SolverError(
             f"solver {name!r} does not support "

@@ -176,11 +176,9 @@ class ResultStore:
     def peek(self, key: str) -> dict[str, Any] | None:
         """Record for ``key`` without counting stats or touching recency.
 
-        A *planning* probe, not a read: the sweep engine peeks the store
-        to predict whether any solver call will actually happen (and
-        skip the evaluation-term warm-up when none will) — such probes
-        must leave hit/miss counters and LRU order exactly as a run
-        without the optimisation would.
+        An inspection probe, not a read: it leaves hit/miss counters and
+        LRU order exactly as they were, so a caller can look at what the
+        store holds without changing what a later run reports.
         """
         return self._get(key)
 

@@ -28,25 +28,18 @@ node; a warm-start chain becomes a path of nodes linked by
 mapping as a seed right before dispatch; an exhaustive one-pass cell
 becomes a single node answering its whole grid from one enumeration
 pass.  Only true dependencies serialise — everything else runs as wide
-as ``workers`` allows.
+as ``workers`` allows.  Every solve builds its own
+:class:`~repro.core.metrics.EvaluationCache` and drops it when it
+returns; no evaluation terms are shared between grid points.
 
-On top of plain batching the sweep engine adds three grid-level
-optimisations — dedup and the cache hand-off are bit-identical to the
-naive sweep; warm-start chaining may return *different* (never worse
-than its seeds, possibly better) results and is therefore opt-in:
+On top of plain batching the sweep engine adds two grid-level
+optimisations — dedup is bit-identical to the naive sweep; warm-start
+chaining may return *different* (never worse than its seeds, possibly
+better) results and is therefore opt-in:
 
 * **duplicate-threshold dedup** — equal grid points are solved once and
   fanned back out to every original position (previously each duplicate
   re-solved the same query);
-* **shared evaluation-cache hand-off** — the per-interval terms of
-  :class:`repro.core.metrics.EvaluationCache` are pre-computed once for
-  the sweep's candidate pool and *shared*: serial sweeps reuse one live
-  term set across every grid point (via
-  :func:`repro.core.metrics.install_shared_terms`), parallel sweeps ship
-  a read-only snapshot to every pool worker through the pool
-  initializer, so workers no longer rebuild their caches from nothing.
-  Preloaded terms are exactly the values a cold cache would compute, so
-  results are bit-identical;
 * **warm-start chaining** (``warm_start="chain"``) — on a monotone grid
   (detected automatically) the accepted mapping at threshold ``t_i``
   seeds the warm-startable heuristics at ``t_{i+1}``
@@ -65,18 +58,10 @@ than its seeds, possibly better) results and is therefore opt-in:
 from __future__ import annotations
 
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..core.application import PipelineApplication
-from ..core.metrics import (
-    EvaluationCache,
-    export_shared_terms,
-    install_shared_terms,
-    instance_token,
-    shared_cache_terms,
-)
 from ..core.pareto import BiCriteriaPoint, pareto_front
 from ..core.platform import Platform
 from ..core.serialization import (
@@ -91,11 +76,7 @@ from .batch import (
     BatchOutcome,
     BatchTask,
     GraphNode,
-    _effective_opts,
     _execute,
-    _outcome_from_record,
-    _task_key,
-    _validated_record,
     iter_graph,
 )
 from .policy import BatchPolicy, ErrorKind
@@ -113,7 +94,6 @@ __all__ = [
     "SweepResult",
     "iter_sweep",
     "run_sweep",
-    "warm_pool_terms",
 ]
 
 #: version of the declarative spec schema shared by
@@ -539,50 +519,6 @@ class SweepResult:
 
 
 # ----------------------------------------------------------------------
-# shared evaluation-cache hand-off
-# ----------------------------------------------------------------------
-def warm_pool_terms(
-    application: PipelineApplication, platform: Platform
-) -> None:
-    """Pre-compute the candidate-pool evaluation terms for one instance.
-
-    Evaluates the deduplicated single-interval candidate grid — the
-    warm-start pool every heuristic re-ranks on *every* solve — through
-    an :class:`~repro.core.metrics.EvaluationCache`.  Call it with the
-    instance's shared term set installed and the terms land there,
-    ready for every later cache (in this process or, snapshotted, in
-    pool workers).
-    """
-    from ..algorithms.heuristics.single_interval import (
-        single_interval_mappings,
-    )
-
-    cache = EvaluationCache(application, platform)
-    for mapping in single_interval_mappings(application, platform):
-        cache.evaluate(mapping)
-
-
-def _install_worker_terms(
-    payloads: Sequence[tuple[str, bool, Mapping[str, dict]]],
-) -> None:
-    """Pool-worker initializer: adopt the parent's term snapshots.
-
-    One ``(token, one_port, terms)`` triple per plan instance whose
-    terms were warmed in the parent — a multi-instance plan runs over a
-    single pool, so every instance's snapshot ships up front (the
-    registry keys term sets by instance token).
-    """
-    for token, one_port, terms in payloads:
-        install_shared_terms(
-            None,  # type: ignore[arg-type] — the token stands in for the pair
-            None,  # type: ignore[arg-type]
-            one_port=one_port,
-            terms=terms,
-            token=token,
-        )
-
-
-# ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
 def _is_monotone(values: Sequence[float]) -> bool:
@@ -686,7 +622,6 @@ class _CellBuild:
     """One compiled (instance, solver) cell, pre-execution."""
 
     cell_index: int
-    instance_index: int
     instance: SweepInstance
     solver: SweepSolver
     spec: SolverSpec
@@ -704,7 +639,6 @@ def _compile_cell(
     *,
     store: ResultStore | None,
     cell_index: int,
-    instance_index: int,
 ) -> _CellBuild:
     grid = [float(t) for t in plan.grid_for(instance)]
     spec = get_solver(solver.name)
@@ -730,7 +664,6 @@ def _compile_cell(
     )
     return _CellBuild(
         cell_index=cell_index,
-        instance_index=instance_index,
         instance=instance,
         solver=solver,
         spec=spec,
@@ -838,50 +771,6 @@ def _compile_nodes(
     ]
 
 
-def _cell_store_warm(
-    build: _CellBuild, store: ResultStore, seed: int | None
-) -> bool:
-    """True when executing the cell cannot invoke any solver.
-
-    Probes the store with :meth:`~repro.engine.store.ResultStore.peek`
-    (stats- and recency-neutral) for every point the cell would
-    dispatch, walking warm-start chains by decoding each peeked record
-    to derive the next point's seed-dependent key.  Used to skip the
-    evaluation-term warm-up on fully warm instances — a prediction
-    only, so a miss here is never an error.
-    """
-    if not build.tasks:
-        return True
-    if build.chained:
-        last_good = None
-        for pos, task in enumerate(build.tasks):
-            opts = dict(task.opts)
-            if build.spec.seeded and seed is not None and "seed" not in opts:
-                opts["seed"] = seed + pos
-            if last_good is not None:
-                opts.update(build.solver.effective_chain_opts())
-                opts["warm_starts"] = [mapping_to_dict(last_good)]
-            task = replace(task, opts=opts)
-            key = _task_key(task, opts)
-            if key is None:
-                return False
-            record = _validated_record(store.peek(key), task.solver)
-            if record is None:
-                return False
-            outcome = _outcome_from_record(record, pos, task)
-            if outcome.ok:
-                last_good = outcome.result.mapping
-        return True
-    for pos, task in enumerate(build.tasks):
-        opts = _effective_opts(task, pos, seed)
-        key = _task_key(task, opts)
-        if key is None:
-            return False
-        if _validated_record(store.peek(key), task.solver) is None:
-            return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
@@ -892,7 +781,6 @@ def iter_sweep(
     seed: int | None = None,
     policy: BatchPolicy | None = None,
     store: ResultStore | None = None,
-    shared_cache: bool = True,
     in_order: bool = True,
     stream: str = "cells",
 ) -> "Iterator[SweepCell | SweepPoint]":
@@ -924,10 +812,9 @@ def iter_sweep(
         raise ReproError(
             f"stream must be 'cells' or 'points', got {stream!r}"
         )
-    parallel = workers is not None and workers > 1
 
     builds: list[_CellBuild] = []
-    for instance_index, instance in enumerate(plan.instances):
+    for instance in plan.instances:
         for solver in plan.solvers:
             builds.append(
                 _compile_cell(
@@ -936,7 +823,6 @@ def iter_sweep(
                     solver,
                     store=store,
                     cell_index=len(builds),
-                    instance_index=instance_index,
                 )
             )
 
@@ -948,122 +834,80 @@ def iter_sweep(
         offsets.append(acc)
         acc += len(build.grid)
 
-    with ExitStack() as stack:
-        # shared evaluation-term hand-off, one live term set per
-        # instance that will actually solve something: fully
-        # store-warm instances (and pure one-pass ones, which never
-        # build an EvaluationCache) skip the warm-up entirely
-        init_payloads: list[tuple[str, bool, Mapping[str, dict]]] = []
-        if shared_cache:
-            for instance_index, instance in enumerate(plan.instances):
-                needs_terms = any(
-                    build.tasks
-                    and not build.one_pass
-                    and not (
-                        store is not None
-                        and _cell_store_warm(build, store, seed)
-                    )
-                    for build in builds
-                    if build.instance_index == instance_index
-                )
-                if not needs_terms:
-                    continue
-                stack.enter_context(
-                    shared_cache_terms(
-                        instance.application, instance.platform
-                    )
-                )
-                warm_pool_terms(instance.application, instance.platform)
-                if parallel:
-                    token = instance_token(
-                        instance.application, instance.platform
-                    )
-                    terms = export_shared_terms(
-                        instance.application, instance.platform
-                    )
-                    if terms is not None:
-                        init_payloads.append((token, True, terms))
-        initializer = _install_worker_terms if init_payloads else None
-        initargs = (tuple(init_payloads),) if init_payloads else ()
+    nodes: list[GraphNode] = []
+    node_map: dict[str, tuple[_CellBuild, int | None]] = {}
+    for build in builds:
+        for node, unique_pos in _compile_nodes(build, seed):
+            nodes.append(node)
+            node_map[node.name] = (build, unique_pos)
 
-        nodes: list[GraphNode] = []
-        node_map: dict[str, tuple[_CellBuild, int | None]] = {}
+    collected: dict[int, dict[int, BatchOutcome]] = {
+        build.cell_index: {} for build in builds
+    }
+
+    def _cell_done(build: _CellBuild) -> SweepCell:
+        # fan the solved points back out to every original position
+        cell = collected[build.cell_index]
+        position = {t: i for i, t in enumerate(build.unique)}
+        outcomes = tuple(
+            replace(cell[position[t]], index=pos)
+            for pos, t in enumerate(build.grid)
+        )
+        return SweepCell(
+            instance_tag=build.instance.tag,
+            solver=build.solver.name,
+            thresholds=tuple(build.grid),
+            outcomes=outcomes,
+            unique_thresholds=len(build.unique),
+            chained=build.chained,
+        )
+
+    def _events() -> "Iterator[tuple[int, SweepCell | SweepPoint]]":
+        # cells with an empty grid are complete before the graph
+        # runs (they contribute no point ids in points mode)
         for build in builds:
-            for node, unique_pos in _compile_nodes(build, seed):
-                nodes.append(node)
-                node_map[node.name] = (build, unique_pos)
+            if not build.tasks and stream == "cells":
+                yield (build.cell_index, _cell_done(build))
+        for name, outcome in iter_graph(
+            nodes,
+            workers=workers,
+            seed=seed,
+            policy=policy,
+            store=store,
+        ):
+            build, unique_pos = node_map[name]
+            if unique_pos is None:
+                # one-pass node: sub-outcomes carry their position
+                unique_pos = outcome.index
+            collected[build.cell_index][unique_pos] = outcome
+            if stream == "points":
+                solved = build.unique[unique_pos]
+                for pos, t in enumerate(build.grid):
+                    if t == solved:
+                        yield (
+                            offsets[build.cell_index] + pos,
+                            SweepPoint(
+                                instance_tag=build.instance.tag,
+                                solver=build.solver.name,
+                                threshold=t,
+                                index=pos,
+                                outcome=replace(outcome, index=pos),
+                            ),
+                        )
+            elif len(collected[build.cell_index]) == len(build.unique):
+                yield (build.cell_index, _cell_done(build))
 
-        collected: dict[int, dict[int, BatchOutcome]] = {
-            build.cell_index: {} for build in builds
-        }
-
-        def _cell_done(build: _CellBuild) -> SweepCell:
-            # fan the solved points back out to every original position
-            cell = collected[build.cell_index]
-            position = {t: i for i, t in enumerate(build.unique)}
-            outcomes = tuple(
-                replace(cell[position[t]], index=pos)
-                for pos, t in enumerate(build.grid)
-            )
-            return SweepCell(
-                instance_tag=build.instance.tag,
-                solver=build.solver.name,
-                thresholds=tuple(build.grid),
-                outcomes=outcomes,
-                unique_thresholds=len(build.unique),
-                chained=build.chained,
-            )
-
-        def _events() -> "Iterator[tuple[int, SweepCell | SweepPoint]]":
-            # cells with an empty grid are complete before the graph
-            # runs (they contribute no point ids in points mode)
-            for build in builds:
-                if not build.tasks and stream == "cells":
-                    yield (build.cell_index, _cell_done(build))
-            for name, outcome in iter_graph(
-                nodes,
-                workers=workers,
-                seed=seed,
-                policy=policy,
-                store=store,
-                initializer=initializer,
-                initargs=initargs,
-            ):
-                build, unique_pos = node_map[name]
-                if unique_pos is None:
-                    # one-pass node: sub-outcomes carry their position
-                    unique_pos = outcome.index
-                collected[build.cell_index][unique_pos] = outcome
-                if stream == "points":
-                    solved = build.unique[unique_pos]
-                    for pos, t in enumerate(build.grid):
-                        if t == solved:
-                            yield (
-                                offsets[build.cell_index] + pos,
-                                SweepPoint(
-                                    instance_tag=build.instance.tag,
-                                    solver=build.solver.name,
-                                    threshold=t,
-                                    index=pos,
-                                    outcome=replace(outcome, index=pos),
-                                ),
-                            )
-                elif len(collected[build.cell_index]) == len(
-                    build.unique
-                ):
-                    yield (build.cell_index, _cell_done(build))
-
-        if in_order:
-            buffered: dict[int, Any] = {}
-            next_emit = 0
-            for item_id, item in _events():
-                buffered[item_id] = item
-                while next_emit in buffered:
-                    yield buffered.pop(next_emit)
-                    next_emit += 1
-        else:
-            for _, item in _events():
-                yield item
+    if in_order:
+        buffered: dict[int, Any] = {}
+        next_emit = 0
+        for item_id, item in _events():
+            buffered[item_id] = item
+            while next_emit in buffered:
+                yield buffered.pop(next_emit)
+                next_emit += 1
+    else:
+        for _, item in _events():
+            yield item
 
 
 def run_sweep(
@@ -1073,7 +917,6 @@ def run_sweep(
     seed: int | None = None,
     policy: BatchPolicy | None = None,
     store: ResultStore | None = None,
-    shared_cache: bool = True,
 ) -> SweepResult:
     """Execute a :class:`SweepPlan`, one cell per (instance, solver).
 
@@ -1084,12 +927,7 @@ def run_sweep(
     order.  ``workers``/``seed``/``policy``/``store`` carry the exact
     :func:`~repro.engine.batch.run_batch` semantics (deterministic
     per-task seeding over the *deduplicated* grid, fault isolation,
-    result reuse).  ``shared_cache`` enables the evaluation-term
-    hand-off (see module docstring), installed once per instance and
-    shared by every solver cell on it; cells that never invoke a solver
-    (the exhaustive one-pass fast path, fully store-warm grids) skip
-    the warm-up entirely.  Disabling it reproduces the old
-    every-call-starts-cold behaviour, bit-identical results either way.
+    result reuse).
     """
     return SweepResult(
         cells=tuple(
@@ -1099,7 +937,6 @@ def run_sweep(
                 seed=seed,
                 policy=policy,
                 store=store,
-                shared_cache=shared_cache,
                 in_order=True,
                 stream="cells",
             )

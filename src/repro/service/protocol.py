@@ -36,6 +36,7 @@ exactly like :class:`~repro.engine.batch.BatchOutcome`.
 from __future__ import annotations
 
 import json
+import math
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ..core.serialization import mapping_to_dict
@@ -196,6 +197,7 @@ def validate_request(payload: Any) -> dict[str, Any]:
         if threshold is not None and (
             isinstance(threshold, bool)
             or not isinstance(threshold, (int, float))
+            or (isinstance(threshold, float) and math.isnan(threshold))
         ):
             raise _bad(
                 f"request 'threshold' must be a number, got {threshold!r}"

@@ -183,10 +183,6 @@ class SolverService:
         server never buffers an unbounded backlog).
     default_policy:
         :class:`BatchPolicy` applied when a request carries none.
-    shared_cache:
-        Passes through to :func:`iter_sweep`.  Default False: the
-        process-wide evaluation-term hand-off is not thread-safe, and
-        the shared *store* is what the service scales on.
     """
 
     def __init__(
@@ -197,7 +193,6 @@ class SolverService:
         queue_size: int = 32,
         event_buffer: int = 64,
         default_policy: BatchPolicy | None = None,
-        shared_cache: bool = False,
     ) -> None:
         if workers < 1:
             raise ReproError("service needs at least 1 worker")
@@ -214,7 +209,6 @@ class SolverService:
         self.queue_size = queue_size
         self.event_buffer = event_buffer
         self.default_policy = default_policy
-        self.shared_cache = shared_cache
 
         self._queue: asyncio.PriorityQueue = asyncio.PriorityQueue(
             maxsize=queue_size
@@ -592,7 +586,6 @@ class SolverService:
                         seed=req.get("seed"),
                         policy=policy,
                         store=self.store,
-                        shared_cache=self.shared_cache,
                         in_order=False,
                         stream="points",
                     )

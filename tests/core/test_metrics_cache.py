@@ -162,18 +162,17 @@ def test_cache_stats_shape():
     assert math.isfinite(cache.stats["hits"])
 
 
-class TestSharedTerms:
-    """Snapshot export / cross-cache hand-off (the sweep-engine cache)."""
+class TestPrivateCaches:
+    """Every cache starts cold and keeps its terms to itself, so what
+    one solve evaluated never reaches another solve's cache."""
 
-    def _instance(self):
+    def _instance(self, kind="uniform"):
         from tests.helpers import make_instance
 
-        return make_instance("comm-homogeneous", 4, 4, 13)
-
-    def _het_instance(self):
-        from tests.helpers import make_instance
-
-        return make_instance("fully-heterogeneous", 4, 4, 13)
+        platform_class = (
+            "comm-homogeneous" if kind == "uniform" else "fully-heterogeneous"
+        )
+        return make_instance(platform_class, 4, 4, 13)
 
     def _pool(self, app, plat):
         from repro.algorithms.heuristics import single_interval_mappings
@@ -181,94 +180,46 @@ class TestSharedTerms:
         return single_interval_mappings(app, plat)
 
     @pytest.mark.parametrize("kind", ["uniform", "het"])
-    def test_preloaded_cache_is_bit_identical_and_all_hits(self, kind):
-        app, plat = self._instance() if kind == "uniform" else self._het_instance()
+    def test_second_cache_starts_cold_and_agrees(self, kind):
+        app, plat = self._instance(kind)
         pool = self._pool(app, plat)
-        warm_cache = EvaluationCache(app, plat)
-        expected = [warm_cache.evaluate(m) for m in pool]
-        snapshot = warm_cache.export_terms()
+        first = EvaluationCache(app, plat)
+        expected = [first.evaluate(m) for m in pool]
+        second = EvaluationCache(app, plat)
+        assert second.stats == {"hits": 0, "misses": 0, "entries": 0}
+        got = [second.evaluate(m) for m in pool]
+        assert [(g.latency, g.failure_probability) for g in got] == [
+            (e.latency, e.failure_probability) for e in expected
+        ]
+        # the second cache computed every term itself
+        assert second.stats == first.stats
 
-        cold = EvaluationCache(app, plat)
-        cold.preload(snapshot)
-        assert cold.misses == 0
-        for m, exp in zip(pool, expected):
-            got = cold.evaluate(m)
-            assert got.latency == exp.latency
-            assert got.failure_probability == exp.failure_probability
-        assert cold.misses == 0  # every term came from the snapshot
-
-    def test_export_terms_returns_copies(self):
+    def test_term_tables_are_per_cache(self):
         app, plat = self._instance()
-        cache = EvaluationCache(app, plat)
-        cache.evaluate(self._pool(app, plat)[0])
-        snapshot = cache.export_terms()
-        snapshot["rel"].clear()
-        assert cache._rel_terms  # the cache's own dicts are untouched
+        first = EvaluationCache(app, plat)
+        second = EvaluationCache(app, plat)
+        assert first._lat_terms is not second._lat_terms
+        assert first._rel_terms is not second._rel_terms
+        assert first._in_terms is not second._in_terms
+        for m in self._pool(app, plat):
+            first.evaluate(m)
+        assert first.stats["entries"] > 0
+        assert second.stats["entries"] == 0
 
-    def test_shared_registry_hands_terms_across_caches(self):
-        from repro.core import metrics
-
+    def test_port_models_on_one_instance_stay_apart(self):
+        """Interleaved one-port and multi-port caches each match their
+        own plain metric."""
         app, plat = self._instance()
-        pool = self._pool(app, plat)
-        with metrics.shared_cache_terms(app, plat) as shared:
-            first = EvaluationCache(app, plat)
-            assert first._lat_terms is shared["lat"]
-            for m in pool:
-                first.evaluate(m)
-            second = EvaluationCache(app, plat)
-            second.evaluate(pool[0])
-            assert second.misses == 0  # terms flowed through the registry
-        # the context removed the entry: later caches start cold again
-        assert not metrics._SHARED_TERMS
-        third = EvaluationCache(app, plat)
-        third.evaluate(pool[0])
-        assert third.misses > 0
-
-    def test_shared_registry_keyed_by_exact_instance(self):
-        from repro.core import metrics
-        from tests.helpers import make_instance
-
-        app, plat = self._instance()
-        other_app, other_plat = make_instance("comm-homogeneous", 4, 4, 14)
-        with metrics.shared_cache_terms(app, plat):
-            warm = EvaluationCache(app, plat)
-            for m in self._pool(app, plat):
-                warm.evaluate(m)
-            foreign = EvaluationCache(other_app, other_plat)
-            foreign.evaluate(self._pool(other_app, other_plat)[0])
-            assert foreign.misses > 0  # different instance: no sharing
-
-    def test_shared_registry_keyed_by_one_port(self):
-        from repro.core import metrics
-
-        app, plat = self._instance()
-        pool = self._pool(app, plat)
-        with metrics.shared_cache_terms(app, plat, one_port=True):
-            warm = EvaluationCache(app, plat, one_port=True)
-            for m in pool:
-                warm.evaluate(m)
-            multi_port = EvaluationCache(app, plat, one_port=False)
-            multi_port.evaluate(pool[-1])
-            assert multi_port.misses > 0  # one_port=False terms differ
-
-    def test_install_and_export_round_trip(self):
-        from repro.core import metrics
-
-        app, plat = self._instance()
-        pool = self._pool(app, plat)
-        cache = EvaluationCache(app, plat)
-        for m in pool:
-            cache.evaluate(m)
-        snapshot = cache.export_terms()
-        assert metrics.export_shared_terms(app, plat) is None
-        with metrics.shared_cache_terms(app, plat, terms=snapshot):
-            exported = metrics.export_shared_terms(app, plat)
-            assert exported is not None
-            assert exported["rel"] == snapshot["rel"]
-            seeded = EvaluationCache(app, plat)
-            seeded.evaluate(pool[0])
-            assert seeded.misses == 0
-        metrics.clear_shared_terms()
+        one_port = EvaluationCache(app, plat, one_port=True)
+        multi_port = EvaluationCache(app, plat, one_port=False)
+        differ = 0
+        for m in self._pool(app, plat):
+            a = one_port.latency(m)
+            b = multi_port.latency(m)
+            assert a == latency(m, app, plat, one_port=True)
+            assert b == latency(m, app, plat, one_port=False)
+            differ += a != b
+        assert differ  # the two port models do disagree on this pool
 
 
 # ----------------------------------------------------------------------

@@ -62,6 +62,17 @@ def counting_min_fp(application, platform, threshold, *, counter_file):
     return greedy_minimize_fp(application, platform, threshold)
 
 
+def ordered_min_fp(application, platform, threshold, *, order_file, label):
+    """Appends ``label`` as one line to ``order_file``, then solves.
+
+    The file lists invocations in the order the solver actually ran,
+    which a client cannot observe from when its replies arrive.
+    """
+    with open(order_file, "a") as fh:
+        fh.write(f"{label}\n")
+    return greedy_minimize_fp(application, platform, threshold)
+
+
 def flaky_min_fp(application, platform, threshold, *, fail_first, scratch):
     """Fails the first ``fail_first`` invocations (tracked in ``scratch``)."""
     path = Path(scratch)

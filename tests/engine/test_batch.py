@@ -104,6 +104,18 @@ class TestRunBatch:
         assert not outcomes[1].ok
         assert "InfeasibleProblemError" in outcomes[1].error
 
+    def test_nan_threshold_task_fails_not_ok(self):
+        app, plat = make_instance("comm-homogeneous", 3, 4, 3)
+        tasks = [
+            api.BatchTask("greedy-min-fp", app, plat, threshold=80.0),
+            api.BatchTask("greedy-min-fp", app, plat, threshold=float("nan")),
+        ]
+        outcomes = api.run_batch(tasks)
+        assert outcomes[0].ok
+        assert not outcomes[1].ok
+        assert outcomes[1].error_kind is api.ErrorKind.UNSUPPORTED
+        assert "NaN threshold" in outcomes[1].error
+
     def test_malformed_batch_rejected_upfront(self):
         app, plat = make_instance("comm-homogeneous", 2, 2, 0)
         with pytest.raises(SolverError, match="unknown solver"):

@@ -15,7 +15,9 @@ from repro.engine.policy import ErrorKind
 from repro.exceptions import ReproError
 
 from tests.engine.synthetic import (
+    counting_min_fp,
     crash_at_min_fp,
+    invocations,
     register_synthetic,
     sleepy_min_fp,
 )
@@ -258,37 +260,11 @@ class TestChainCrashFallback:
 
 
 class TestWarmupSkips:
-    def test_store_warm_plan_skips_term_warmup(self, instance, monkeypatch):
-        """Satellite: a fully store-warm plan never warms the shared
-        evaluation terms (the store is probed first)."""
-        from repro.engine import sweeps as sweeps_mod
-
-        app, plat = instance
-        plan = SweepPlan.single(
-            app, plat, "greedy-min-fp", [30.0, 45.0, 60.0]
-        )
-        store = MemoryStore()
-        run_sweep(plan, store=store)
-
-        calls = []
-        real = sweeps_mod.shared_cache_terms
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sweeps_mod, "shared_cache_terms", counting)
-        warm = run_sweep(plan, store=store)
-        assert all(o.cached for o in warm.cells[0].outcomes)
-        assert calls == []
-        # a plan with any cold point still warms up
-        cold_plan = SweepPlan.single(app, plat, "greedy-min-fp", [75.0])
-        run_sweep(cold_plan, store=store)
-        assert len(calls) == 1
+    """Store-warm points are answered from the store, never re-solved."""
 
     def test_warm_probe_is_stats_neutral(self, instance):
-        """The warm-skip prediction peeks: store stats count exactly
-        one real lookup per unique task, before and after."""
+        """Store stats count exactly one lookup per unique task, cold
+        and warm: duplicate grid points are never probed twice."""
         app, plat = instance
         plan = SweepPlan.single(
             app, plat, "greedy-min-fp", [30.0, 45.0, 30.0]
@@ -301,34 +277,51 @@ class TestWarmupSkips:
         assert store.stats.hits == 2
         assert store.stats.misses == 2
 
-    def test_chained_store_warm_plan_skips_warmup(self, instance, monkeypatch):
-        """The warm probe walks chains (seed mappings are part of each
-        key) and still predicts full warmth."""
-        from repro.engine import sweeps as sweeps_mod
 
+    def test_store_warm_plan_invokes_no_solver(self, instance, tmp_path):
         app, plat = instance
-        plan = SweepPlan.single(
-            app,
-            plat,
-            "local-search-min-fp",
-            [30.0, 45.0, 60.0],
-            warm_start="chain",
-        )
+        counter = tmp_path / "count"
         store = MemoryStore()
-        cold = run_sweep(plan, seed=2, store=store)
-        assert cold.cells[0].chained
+        with register_synthetic("counting-stream", counting_min_fp) as name:
+            plan = SweepPlan.single(
+                app,
+                plat,
+                name,
+                [30.0, 45.0, 60.0],
+                opts={"counter_file": str(counter)},
+            )
+            cold = list(iter_sweep(plan, store=store, stream="points"))
+            assert invocations(counter) == 3
+            warm = list(iter_sweep(plan, store=store, stream="points"))
+        assert invocations(counter) == 3
+        assert all(p.outcome.cached for p in warm)
+        assert sorted(
+            (p.index, p.outcome.result.objectives) for p in warm
+        ) == sorted((p.index, p.outcome.result.objectives) for p in cold)
 
-        calls = []
-        real = sweeps_mod.shared_cache_terms
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sweeps_mod, "shared_cache_terms", counting)
-        warm = run_sweep(plan, seed=2, store=store)
-        assert all(o.cached for o in warm.cells[0].outcomes)
-        assert calls == []
+    def test_partly_warm_plan_solves_only_cold_points(
+        self, instance, tmp_path
+    ):
+        app, plat = instance
+        counter = tmp_path / "count"
+        store = MemoryStore()
+        opts = {"counter_file": str(counter)}
+        with register_synthetic("counting-stream", counting_min_fp) as name:
+            run_sweep(
+                SweepPlan.single(app, plat, name, [30.0, 45.0], opts=opts),
+                store=store,
+            )
+            assert invocations(counter) == 2
+            wider = SweepPlan.single(
+                app, plat, name, [30.0, 45.0, 75.0], opts=opts
+            )
+            points = list(iter_sweep(wider, store=store, stream="points"))
+        assert invocations(counter) == 3
+        assert sorted((p.index, p.outcome.cached) for p in points) == [
+            (0, True),
+            (1, True),
+            (2, False),
+        ]
 
 
 class TestWorkersParity:

@@ -146,6 +146,22 @@ class TestDispatchErrors:
                 threshold=10.0,
             )
 
+    def test_nan_threshold(self):
+        # every comparison with NaN is False: the bound would be ignored
+        with pytest.raises(SolverError, match="NaN threshold"):
+            api.solve(
+                "greedy-min-fp",
+                FIG5.application,
+                FIG5.platform,
+                threshold=math.nan,
+            )
+
+    def test_infinite_threshold_means_no_bound(self):
+        result = api.solve(
+            "greedy-min-fp", FIG5.application, FIG5.platform, threshold=math.inf
+        )
+        assert math.isfinite(result.latency)
+
     def test_platform_outside_domain(self):
         with pytest.raises(SolverError, match="does not support"):
             api.solve(

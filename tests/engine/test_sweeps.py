@@ -1,4 +1,4 @@
-"""The unified sweep engine: plans, dedup, chaining, shared caches."""
+"""The unified sweep engine: plans, dedup, chaining, stores."""
 
 import pytest
 
@@ -196,31 +196,47 @@ class TestDelegationEquivalence:
             (p.latency, p.failure_probability) for p in front
         ] == [(p.latency, p.failure_probability) for p in expected_front]
 
-    def test_shared_cache_is_result_invisible(self, instance):
+    def test_repeated_sweeps_are_identical(self, instance):
+        """A sweep leaves nothing behind that a later sweep or solve on
+        the same instance could pick up: each solve starts cold."""
         app, plat = instance
         grid = latency_grid(app, plat, num_points=6)
-        with_cache = threshold_sweep(
-            "local-search-min-fp", app, plat, grid, seed=5, shared_cache=True
-        )
-        without = threshold_sweep(
-            "local-search-min-fp", app, plat, grid, seed=5, shared_cache=False
+        before = solve("local-search-min-fp", app, plat, grid[3], seed=5)
+        first = threshold_sweep("local-search-min-fp", app, plat, grid, seed=5)
+        second = threshold_sweep(
+            "local-search-min-fp", app, plat, grid, seed=5
         )
         assert [
             (o.ok, o.result.objectives if o.ok else o.error_kind)
-            for o in with_cache
+            for o in first
         ] == [
             (o.ok, o.result.objectives if o.ok else o.error_kind)
-            for o in without
+            for o in second
         ]
+        after = solve("local-search-min-fp", app, plat, grid[3], seed=5)
+        assert after.objectives == before.objectives
+        assert after.mapping == before.mapping
 
-    def test_shared_cache_registry_left_clean(self, instance):
-        from repro.core import metrics
+    def test_sweep_entry_points_take_no_shared_cache(self, instance):
+        from repro.api import iter_sweep
+        from repro.service import SolverService
 
         app, plat = instance
-        threshold_sweep(
-            "greedy-min-fp", app, plat, [40.0], shared_cache=True
-        )
-        assert not metrics._SHARED_TERMS
+        plan = SweepPlan.single(app, plat, "greedy-min-fp", [40.0])
+        calls = [
+            lambda: run_sweep(plan, shared_cache=True),
+            lambda: iter_sweep(plan, shared_cache=True),
+            lambda: threshold_sweep(
+                "greedy-min-fp", app, plat, [40.0], shared_cache=True
+            ),
+            lambda: sweep_frontier(
+                app, plat, "greedy-min-fp", [40.0], shared_cache=True
+            ),
+            lambda: SolverService(shared_cache=False),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="shared_cache"):
+                call()
 
     def test_crash_still_raises_from_sweep_frontier(self, instance):
         from tests.engine.synthetic import always_crash_min_fp

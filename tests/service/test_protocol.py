@@ -131,6 +131,18 @@ class TestValidateRequest:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ServiceError, match="threshold"):
             validate_request(solve_request(threshold=True))
+        # json.loads accepts the NaN literal; a NaN bound would be
+        # ignored by every solver comparison
+        line = json.dumps(solve_request(threshold=float("nan"))).encode()
+        with pytest.raises(ServiceError, match="threshold") as info:
+            validate_request(decode_line(line))
+        assert info.value.code == "bad-request"
+
+    def test_accepts_infinite_threshold(self):
+        for bound in (float("inf"), float("-inf")):
+            assert validate_request(solve_request(threshold=bound))[
+                "threshold"
+            ] == bound
 
     def test_sweep_requires_plan_object(self):
         with pytest.raises(ServiceError, match="plan"):

@@ -28,6 +28,7 @@ from tests.engine.synthetic import (
     counting_min_fp,
     gated_min_fp,
     invocations,
+    ordered_min_fp,
     register_synthetic,
 )
 
@@ -529,6 +530,7 @@ class TestQueueing:
         earlier low-priority one in the queue."""
         gate = tmp_path / "gate"
         counter = tmp_path / "count"
+        order = tmp_path / "order"
         blocker_spec = {
             "schema": PROTOCOL_VERSION,
             "kind": "solve",
@@ -545,16 +547,27 @@ class TestQueueing:
                 client.submit(
                     "solve",
                     priority=priority,
-                    solver="greedy-min-fp",
+                    solver="svc-order",
                     instance=instance_spec(),
                     threshold=50.0 + priority,
+                    opts={"order_file": str(order), "label": label},
                     request_id=label,
                 )
             )
             with lock:
                 finished.append(label)
 
-        with register_synthetic("svc-gate", gated_min_fp):
+        def wait_queued(client, depth):
+            # poll the queue rather than sleep a fixed time: on a loaded
+            # host a submit can take longer than any pause to arrive
+            deadline = time.monotonic() + 10
+            while client.stats()["server"]["queue_depth"] < depth:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+
+        with register_synthetic(
+            "svc-gate", gated_min_fp
+        ), register_synthetic("svc-order", ordered_min_fp):
             with ServiceThread(workers=1, queue_size=8) as service:
                 client = service.client()
                 blocker = threading.Thread(
@@ -569,16 +582,19 @@ class TestQueueing:
                     target=submit, args=(client, "low", 0)
                 )
                 low.start()
-                time.sleep(0.2)  # low is queued first
+                wait_queued(client, 1)  # low is queued first
                 high = threading.Thread(
                     target=submit, args=(client, "high", 5)
                 )
                 high.start()
-                time.sleep(0.2)  # let high reach the queue
+                wait_queued(client, 2)
                 gate.touch()  # release the worker
                 for thread in (blocker, low, high):
                     thread.join(30)
-        assert finished == ["high", "low"]
+        assert sorted(finished) == ["high", "low"]
+        # the worker's run order: replies to two client threads can
+        # arrive in either order even when the jobs ran in turn
+        assert order.read_text().split() == ["high", "low"]
 
     def test_queue_full_is_retriable(self, tmp_path):
         gate = tmp_path / "gate"

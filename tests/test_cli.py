@@ -410,6 +410,23 @@ class TestSweepCommand:
         assert len(reopened) == 2
         reopened.close()
 
+    def test_workers_json_matches_serial(self, tmp_path, capsys):
+        spec = self._spec(
+            tmp_path,
+            solvers=["greedy-min-fp", "local-search-min-fp"],
+        )
+        assert main(["sweep", spec, "--json", "--seed", "0"]) == 0
+        serial = capsys.readouterr().out
+        argv = ["sweep", spec, "--json", "--seed", "0", "--workers", "2"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == serial
+
+    def test_shared_cache_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", self._spec(tmp_path), "--no-shared-cache"])
+        assert info.value.code == 2
+        assert "--no-shared-cache" in capsys.readouterr().err
+
     def test_list_scenarios(self, capsys):
         assert main(["sweep", "--list-scenarios"]) == 0
         out = capsys.readouterr().out
