@@ -6,19 +6,19 @@ their keep: the interval-mapping space at n=32/m=10 has ~10^14 members
 bench E20) can never touch it.  This bench measures what each
 heuristic's fast path buys there while asserting its contract:
 *identical* final mappings and accepted-move counts or traces under the
-same seed.  Local search scores whole neighbourhoods through
-``BulkEvaluator`` with scalar confirmation of the survivors (numpy
-required).  Annealing draws each proposal by index and scores it from
-cached interval terms; it is timed against its whole-neighbourhood
-reference loop (``tests/algorithms/anneal_reference.py``).  Greedy's
-cached trial scoring is timed against its per-trial scalar reference
-loop.
+same seed.  Local search walks shuffled move indices, rejects on a
+move's failure probability alone what its rank proves no better and
+scores the rest from cached interval terms; it is timed against its
+whole-neighbourhood reference loop
+(``tests/algorithms/local_search_reference.py``).  Annealing draws each
+proposal by index and scores it from cached interval terms; it is timed
+against its own reference loop (``tests/algorithms/anneal_reference.py``).
+Greedy's cached trial scoring is timed against its per-trial scalar
+reference loop.  No bench here needs numpy.
 """
 
 import math
 import time
-
-import pytest
 
 from repro.algorithms.bicriteria import count_interval_mappings
 from repro.algorithms.heuristics import (
@@ -29,13 +29,13 @@ from repro.algorithms.heuristics import (
 )
 from repro.core.mapping import IntervalMapping
 from repro.core.metrics import latency
-from repro.core.metrics_bulk import HAS_NUMPY
 from tests.algorithms.anneal_reference import reference_anneal_minimize_fp
+from tests.algorithms.local_search_reference import (
+    reference_local_search_minimize_fp,
+)
 from tests.conftest import make_instance
 
 from .conftest import report  # noqa: F401
-
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy required")
 
 #: annealing proposals per run (the throughput denominator)
 ANNEAL_STEPS = 800
@@ -58,18 +58,15 @@ def _instance(n, m, seed):
     return app, plat, threshold
 
 
-def _timed_walks(fn, app, plat, threshold, steps, repeats=2):
-    """Best time of ``repeats`` annealing runs plus the result; every
-    run's accepted trace and result must equal the first run's."""
+def _timed_runs(fn, app, plat, threshold, repeats=2, **opts):
+    """Best time of ``repeats`` seeded runs plus the result; every run's
+    accepted trace and result must equal the first run's."""
     best = float("inf")
     first = None
     for _ in range(repeats):
         trace: list = []
         start = time.perf_counter()
-        result = fn(
-            app, plat, threshold, seed=0, trace=trace,
-            schedule=AnnealingSchedule(steps=steps),
-        )
+        result = fn(app, plat, threshold, seed=0, trace=trace, **opts)
         best = min(best, time.perf_counter() - start)
         if first is None:
             first = (trace, result)
@@ -81,11 +78,13 @@ def _timed_walks(fn, app, plat, threshold, steps, repeats=2):
 def _annealing_pair(app, plat, threshold, steps, repeats=2):
     """Reference loop vs solver: ``(reference s, solver s)``, with the
     accepted traces and results asserted identical in every run."""
-    t_ref, (trace_ref, r_ref) = _timed_walks(
-        reference_anneal_minimize_fp, app, plat, threshold, steps, repeats
+    schedule = AnnealingSchedule(steps=steps)
+    t_ref, (trace_ref, r_ref) = _timed_runs(
+        reference_anneal_minimize_fp, app, plat, threshold, repeats,
+        schedule=schedule,
     )
-    t_sol, (trace_sol, r_sol) = _timed_walks(
-        anneal_minimize_fp, app, plat, threshold, steps, repeats
+    t_sol, (trace_sol, r_sol) = _timed_runs(
+        anneal_minimize_fp, app, plat, threshold, repeats, schedule=schedule
     )
     assert trace_sol == trace_ref and trace_sol
     assert r_sol.mapping == r_ref.mapping
@@ -94,53 +93,49 @@ def _annealing_pair(app, plat, threshold, steps, repeats=2):
     return t_ref, t_sol
 
 
-@needs_numpy
-def test_e21_heuristic_bulk_throughput():
+def test_e21_local_search_reference_identity():
+    """Local search: the whole-neighbourhood reference loop vs indexed
+    moves with the failure-probability pre-check, scored from cached
+    terms."""
     rows = []
     checks = []
     for n, m, seed in ((24, 8, 7), (32, 10, 3), (48, 12, 5)):
         app, plat, threshold = _instance(n, m, seed)
         space = count_interval_mappings(n, m)
         size = f"n={n} m={m} (~10^{int(math.log10(space))} mappings)"
-
-        t_s, r_s = _best_time(
-            lambda: local_search_minimize_fp(
-                app, plat, threshold, seed=0, use_bulk=False,
-                restarts=4, max_steps=80,
-            ),
-            repeats=2,
+        budget = {"restarts": 4, "max_steps": 80}
+        t_ref, (trace_ref, r_ref) = _timed_runs(
+            reference_local_search_minimize_fp, app, plat, threshold, **budget
         )
-        t_b, r_b = _best_time(
-            lambda: local_search_minimize_fp(
-                app, plat, threshold, seed=0, use_bulk=True,
-                restarts=4, max_steps=80,
-            ),
-            repeats=2,
+        t_sol, (trace_sol, r_sol) = _timed_runs(
+            local_search_minimize_fp, app, plat, threshold, **budget
         )
-        assert r_s.mapping == r_b.mapping
-        assert r_s.extras["steps"] == r_b.extras["steps"]
-        ls_speedup = t_s / t_b
+        assert trace_sol == trace_ref and trace_sol
+        assert r_sol.mapping == r_ref.mapping
+        assert r_sol.latency == r_ref.latency
+        assert r_sol.failure_probability == r_ref.failure_probability
+        assert r_sol.extras["steps"] == r_ref.extras["steps"]
+        speedup = t_ref / t_sol
         rows.append(
             (
                 f"local search {size}",
-                f"{t_s:.4f}",
-                f"{t_b:.4f}",
-                f"{ls_speedup:.1f}x",
+                f"{t_ref:.4f}",
+                f"{t_sol:.4f}",
+                f"{speedup:.1f}x",
             )
         )
-        checks.append((n, ls_speedup))
+        checks.append((n, speedup))
 
     report(
-        "E21: heuristic candidate pools, scalar vs bulk scoring",
-        ("solver / instance", "scalar seconds", "bulk seconds", "speedup"),
+        "E21: local search, whole-neighbourhood reference loop vs indexed "
+        "cached moves",
+        ("instance", "reference seconds", "solver seconds", "speedup"),
         rows,
     )
-    # the refactor's headline claim is >= 3x candidate-scoring throughput
-    # on n >= 20; assert a safety margin below the measured 1.8-2.2x (the
-    # scalar side builds neighbour mappings without re-validation) so CI
-    # noise cannot flake the job
-    for n, ls_speedup in checks:
-        assert ls_speedup >= 1.5, (n, ls_speedup)
+    # a safety margin below the measured speedups so CI noise cannot
+    # flake the job
+    for n, speedup in checks:
+        assert speedup >= 1.5, (n, speedup)
 
 
 def test_e21_annealing_reference_identity():
@@ -222,7 +217,7 @@ def test_e21_greedy_cached_identity():
     )
 
 
-def test_e21_bench_bulk_local_search(benchmark):
+def test_e21_bench_local_search(benchmark):
     app, plat, threshold = _instance(32, 10, 3)
     result = benchmark(
         local_search_minimize_fp,

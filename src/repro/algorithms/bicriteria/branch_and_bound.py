@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 
-from ..result import SolverResult
+from ..result import SolverResult, threshold_bound
 from ...core.application import PipelineApplication
 from ...core.mapping import IntervalMapping, StageInterval
 from ...core.metrics import failure_probability, latency
@@ -198,8 +198,7 @@ def branch_and_bound_minimize_fp(
         On Fully Heterogeneous platforms or very large processor counts.
     """
     s = _Searcher(application, platform, use_tables=use_tables)
-    slack = tolerance * max(1.0, abs(latency_threshold))
-    budget = latency_threshold + slack - s.out_term
+    budget = threshold_bound(latency_threshold, tolerance) - s.out_term
 
     best_fp = math.inf
     best_plan: list[tuple[int, int, int]] | None = None
@@ -294,8 +293,7 @@ def branch_and_bound_minimize_latency(
     probability of any completion.
     """
     s = _Searcher(application, platform, use_tables=use_tables)
-    slack = tolerance * max(1.0, abs(fp_threshold))
-    required_success = 1.0 - (fp_threshold + slack)
+    required_success = 1.0 - threshold_bound(fp_threshold, tolerance)
 
     best_lat = math.inf
     best_plan: list[tuple[int, int, int]] | None = None

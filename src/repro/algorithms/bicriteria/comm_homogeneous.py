@@ -22,7 +22,7 @@ needs two intervals, and Section 4.4 conjectures that case NP-hard — use
 from __future__ import annotations
 
 from ..result import SolverResult
-from .fully_homogeneous import THRESHOLD_RTOL, _within
+from .fully_homogeneous import _within
 from ...core.application import PipelineApplication
 from ...core.mapping import IntervalMapping
 from ...core.metrics import failure_probability, latency
@@ -108,7 +108,7 @@ def minimal_replication_for_fp(platform: Platform, fp_threshold: float) -> int:
     """
     fp = platform.failure_probabilities[0]
     for k in range(1, platform.size + 1):
-        if fp**k <= fp_threshold + THRESHOLD_RTOL * max(1.0, fp_threshold):
+        if _within(fp**k, fp_threshold):
             return k
     raise InfeasibleProblemError(
         f"even k=m={platform.size} replicas miss the FP threshold "

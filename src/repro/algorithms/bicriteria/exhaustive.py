@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import comb
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
-from ..result import SolverResult
+from ..result import SolverResult, threshold_bound
 from ...core.application import PipelineApplication
 from ...core.enumeration import enumerate_interval_mappings, iter_mapping_blocks
 from ...core.mapping import IntervalMapping
@@ -50,11 +50,6 @@ DEFAULT_SEARCH_CAP = 5_000_000
 
 #: Default number of mappings per vectorized evaluation block.
 DEFAULT_BLOCK_SIZE = 4096
-
-
-#: Back-compat alias: the knob resolver now lives in ``core.metrics_bulk``
-#: so the heuristics layer shares the exact same three-state semantics.
-_bulk_enabled = resolve_use_bulk
 
 
 def _stirling2_row(k: int) -> list[int]:
@@ -171,7 +166,7 @@ def exhaustive_pareto_front(
     to the single-pass evaluation; ``bulk_backend`` picks the
     evaluator's array engine.
     """
-    if not _bulk_enabled(use_bulk):
+    if not resolve_use_bulk(use_bulk):
         points = [
             BiCriteriaPoint(
                 ev.latency, ev.failure_probability, payload=ev.mapping
@@ -378,12 +373,12 @@ def exhaustive_minimize_fp(
     confirmation (bulk path); the two vocabularies differ by design, so
     record/replay comparisons are meaningful within one path.
     """
-    slack = tolerance * max(1.0, abs(latency_threshold))
-    if _bulk_enabled(use_bulk):
+    bound = threshold_bound(latency_threshold, tolerance)
+    if resolve_use_bulk(use_bulk):
         return _best_bulk(
             application,
             platform,
-            vec_feasible=lambda lats, fps: lats <= latency_threshold + slack,
+            vec_feasible=lambda lats, fps: lats <= bound,
             vec_key=lambda lats, fps: (fps, lats),
             solver="exhaustive-min-fp",
             one_port=one_port,
@@ -395,7 +390,7 @@ def exhaustive_minimize_fp(
     return _best(
         application,
         platform,
-        feasible=lambda ev: ev.latency <= latency_threshold + slack,
+        feasible=lambda ev: ev.latency <= bound,
         key=lambda ev: (ev.failure_probability, ev.latency),
         solver="exhaustive-min-fp",
         one_port=one_port,
@@ -425,12 +420,12 @@ def exhaustive_minimize_latency(
     :func:`exhaustive_minimize_fp`.
     ``recorder`` behaves as in :func:`exhaustive_minimize_fp`.
     """
-    slack = tolerance * max(1.0, abs(fp_threshold))
-    if _bulk_enabled(use_bulk):
+    bound = threshold_bound(fp_threshold, tolerance)
+    if resolve_use_bulk(use_bulk):
         return _best_bulk(
             application,
             platform,
-            vec_feasible=lambda lats, fps: fps <= fp_threshold + slack,
+            vec_feasible=lambda lats, fps: fps <= bound,
             vec_key=lambda lats, fps: (lats, fps),
             solver="exhaustive-min-latency",
             one_port=one_port,
@@ -442,7 +437,7 @@ def exhaustive_minimize_latency(
     return _best(
         application,
         platform,
-        feasible=lambda ev: ev.failure_probability <= fp_threshold + slack,
+        feasible=lambda ev: ev.failure_probability <= bound,
         key=lambda ev: (ev.latency, ev.failure_probability),
         solver="exhaustive-min-latency",
         one_port=one_port,
@@ -479,7 +474,7 @@ def exhaustive_sweep_min_fp(
     thresholds = list(thresholds)
     if not thresholds:
         return []
-    if not _bulk_enabled(use_bulk):
+    if not resolve_use_bulk(use_bulk):
         results: list[SolverResult | None] = []
         for threshold in thresholds:
             try:
@@ -506,7 +501,7 @@ def exhaustive_sweep_min_fp(
         shards=bulk_shards,
         backend=bulk_backend,
     )
-    bounds = [t + tolerance * max(1.0, abs(t)) for t in thresholds]
+    bounds = [threshold_bound(t, tolerance) for t in thresholds]
     best_keys: list[tuple[float, float] | None] = [None] * len(thresholds)
     best_mappings: list[IntervalMapping | None] = [None] * len(thresholds)
     for block in iter_mapping_blocks(

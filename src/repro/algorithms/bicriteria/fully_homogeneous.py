@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from ..result import SolverResult
+from ..result import SolverResult, threshold_bound
 from ...core.application import PipelineApplication
 from ...core.mapping import IntervalMapping
 from ...core.metrics import failure_probability, latency
@@ -44,7 +44,7 @@ THRESHOLD_RTOL = 1e-9
 
 def _within(value: float, threshold: float) -> bool:
     """``value <= threshold`` up to relative/absolute round-off slack."""
-    return value <= threshold + THRESHOLD_RTOL * max(1.0, abs(threshold))
+    return value <= threshold_bound(threshold, THRESHOLD_RTOL)
 
 
 def _require_fully_homogeneous(platform: Platform) -> None:
@@ -61,9 +61,12 @@ def closed_form_replication_bound(
     """The paper's ``k = floor((b/delta_0)(L - delta_n/b - sum w/s))``.
 
     With ``delta_0 = 0`` the latency does not depend on ``k`` and the
-    bound is ``m`` whenever the fixed part fits, else 0.
+    bound is ``m`` whenever the fixed part fits, else 0.  An infinite
+    threshold gives ``m`` (``+inf``) or 0 (``-inf``).
     """
     _require_fully_homogeneous(platform)
+    if math.isinf(latency_threshold):
+        return platform.size if latency_threshold > 0 else 0
     b = platform.uniform_bandwidth
     s = platform.speeds[0]
     fixed = application.output_size / b + application.total_work / s

@@ -14,34 +14,23 @@ polynomial algorithms, so this subpackage provides:
 * :mod:`~repro.algorithms.heuristics.annealing` — simulated annealing on
   the same moves.
 
-Single-interval and local search accept a ``use_bulk`` knob
-(automatic when numpy is present): candidate pools are then generated
-in boundary/bitmask row form
-(:func:`~repro.algorithms.heuristics.neighborhood.neighbor_rows`) and
-scored through :class:`~repro.core.metrics_bulk.BulkEvaluator`, with
-decisions still taken on scalar-exact values — results are bit-identical
-to the scalar path under a fixed seed (see
-:mod:`~repro.algorithms.heuristics.bulk`).  Greedy and annealing have no
-bulk path and need no numpy: a greedy enrolment trial or an annealing
-proposal changes at most two intervals, so each is scored from the
-cached interval terms of
-:meth:`~repro.core.metrics.EvaluationCache.objectives_with`, which beats
-bulk scoring at every measured shape.  Annealing draws its proposals by
-index from :class:`~repro.algorithms.heuristics.neighborhood.Neighborhood`
-and builds a mapping object only for accepted moves.
+No heuristic needs numpy.  Single-interval evaluates its small grid
+through the plain metric functions.  Every greedy enrolment trial,
+annealing proposal and local-search move changes at most two intervals,
+so each is scored from the cached interval terms of
+:meth:`~repro.core.metrics.EvaluationCache.objectives_with`.  Annealing
+and local search address their moves by index in
+:class:`~repro.algorithms.heuristics.neighborhood.Neighborhood` and
+build a mapping object only for the moves they accept; local search
+first rejects, on the move's failure probability alone
+(:meth:`~repro.core.metrics.EvaluationCache.failure_probability_with`),
+the moves its lexicographic rank proves no better.
 """
 
 from .annealing import AnnealingSchedule, anneal_minimize_fp, anneal_minimize_latency
 from .greedy import balanced_partition, greedy_minimize_fp, greedy_minimize_latency
 from .local_search import local_search_minimize_fp, local_search_minimize_latency
-from .neighborhood import (
-    Neighborhood,
-    neighbor_rows,
-    neighbors,
-    random_mapping,
-    random_neighbor,
-    row_mapping,
-)
+from .neighborhood import Neighborhood, neighbors, random_mapping, random_neighbor
 from .single_interval import (
     single_interval_candidates,
     single_interval_mappings,
@@ -66,8 +55,6 @@ __all__ = [
     "AnnealingSchedule",
     "Neighborhood",
     "neighbors",
-    "neighbor_rows",
-    "row_mapping",
     "random_neighbor",
     "random_mapping",
 ]

@@ -30,7 +30,7 @@ import math
 import random
 from typing import Any, Callable
 
-from ..result import SolverResult
+from ..result import SolverResult, threshold_bound
 from .neighborhood import Neighborhood, random_mapping
 from .single_interval import single_interval_mappings
 from .warm import WarmStarts, decode_warm_starts
@@ -218,7 +218,7 @@ def anneal_minimize_fp(
     if schedule is None:
         schedule = AnnealingSchedule()
     rng = recorder.rng(seed) if recorder is not None else random.Random(seed)
-    slack = tolerance * max(1.0, abs(latency_threshold))
+    bound = threshold_bound(latency_threshold, tolerance)
     scale = max(latency_threshold, 1e-12)
     cache = EvaluationCache(application, platform)
     if recorder is not None:
@@ -228,7 +228,7 @@ def anneal_minimize_fp(
         return fp + penalty * (max(0.0, lat - latency_threshold) / scale)
 
     def feasible_rank(lat: float, fp: float) -> tuple[float, float] | None:
-        return None if lat > latency_threshold + slack else (fp, lat)
+        return None if lat > bound else (fp, lat)
 
     best = _anneal(
         application,
@@ -288,7 +288,7 @@ def anneal_minimize_latency(
     """
     warm = decode_warm_starts(warm_starts, application, platform)
     rng = recorder.rng(seed) if recorder is not None else random.Random(seed)
-    slack = tolerance * max(1.0, abs(fp_threshold))
+    bound = threshold_bound(fp_threshold, tolerance)
     # a crude latency magnitude: whole pipeline on the fastest processor
     fastest = platform.fastest().index
     base = latency(
@@ -311,7 +311,7 @@ def anneal_minimize_latency(
         return lat + penalty * max(0.0, fp - fp_threshold)
 
     def feasible_rank(lat: float, fp: float) -> tuple[float, float] | None:
-        return None if fp > fp_threshold + slack else (lat, fp)
+        return None if fp > bound else (lat, fp)
 
     best = _anneal(
         application,

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from ..result import SolverResult
+from ..result import SolverResult, threshold_bound
 from ...core.application import PipelineApplication
 from ...core.mapping import IntervalMapping, StageInterval
 from ...core.metrics import EvaluationCache
@@ -225,8 +225,7 @@ def greedy_minimize_fp(
     InfeasibleProblemError
         If no constructed candidate meets the latency threshold.
     """
-    slack = tolerance * max(1.0, abs(latency_threshold))
-    bound = latency_threshold + slack
+    bound = threshold_bound(latency_threshold, tolerance)
     m = platform.size
     solver = "greedy-split-replicate-min-fp"
     cache = EvaluationCache(application, platform)
@@ -331,8 +330,7 @@ def greedy_minimize_latency(
     InfeasibleProblemError
         If no constructed candidate meets the FP threshold.
     """
-    slack = tolerance * max(1.0, abs(fp_threshold))
-    bound = fp_threshold + slack
+    bound = threshold_bound(fp_threshold, tolerance)
     m = platform.size
     solver = "greedy-split-replicate-min-latency"
     cache = EvaluationCache(application, platform)

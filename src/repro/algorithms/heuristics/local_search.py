@@ -13,132 +13,74 @@ Works on every platform class (it only consumes the generic metric
 functions) — this is the workhorse for the NP-hard Fully Heterogeneous
 and the open Communication Homogeneous / Failure Heterogeneous cases.
 
-With numpy present (``use_bulk``) each descent step scores the *whole*
-neighbourhood through :class:`~repro.core.metrics_bulk.BulkEvaluator`
-in one vectorized call; candidates the bulk scores prove non-improving
-(within the conservative prefilter margin of
-:mod:`repro.algorithms.heuristics.bulk`) are skipped, and only the
-handful of survivors are re-ranked through the exact scalar cache in
-the original shuffled order.  Every accept/reject decision is therefore
-made on scalar values: the accepted-move sequence and the final result
-are bit-identical to the scalar path under the same seed (a
-machine-checked property).
+Each descent step shuffles the move indices of the current state's
+:class:`~repro.algorithms.heuristics.neighborhood.Neighborhood` (one
+``rng.shuffle`` of a list as long as the list of neighbour mappings, so
+the rng stream is the same) and decodes the moves one at a time in that
+order.  A move replaces at most two intervals, so it is scored from
+cached interval terms through
+:meth:`~repro.core.metrics.EvaluationCache.objectives_with`, and a
+mapping object is built only for the move accepted.  Because the rank
+is lexicographic, a move's failure probability alone
+(:meth:`~repro.core.metrics.EvaluationCache.failure_probability_with`,
+about half the cost) often proves it no better than the current state;
+such a move is rejected before its latency is looked up.  Every
+decision is taken on exact values, so the accepted moves and the result
+are bit-identical to ranking every neighbour mapping in full (the
+reference loop the tests keep as an oracle).  No numpy is needed.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
-from ..result import SolverResult
-from .neighborhood import neighbor_rows, neighbors, random_mapping, row_mapping
+from ..result import SolverResult, threshold_bound
+from .neighborhood import Move, Neighborhood, random_mapping
 from .single_interval import single_interval_mappings
 from .warm import WarmStarts, decode_warm_starts
 from ...core.application import PipelineApplication
 from ...core.mapping import IntervalMapping
 from ...core.metrics import EvaluationCache, failure_probability, latency
-from ...core.metrics_bulk import BulkEvaluator, resolve_use_bulk
 from ...core.platform import Platform
 from ...core.serialization import mapping_to_dict
 from ...exceptions import InfeasibleProblemError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
 __all__ = ["local_search_minimize_fp", "local_search_minimize_latency"]
 
 _Rank = tuple[int, float, float]
-
-#: Conservative bulk prefilter: ``(latencies, fps, current_rank) ->
-#: keep mask``.  Must never drop a candidate whose scalar rank improves
-#: on ``current_rank`` (see repro.algorithms.heuristics.bulk).
-_Prefilter = Callable[["np.ndarray", "np.ndarray", _Rank], "np.ndarray"]
-
-
-class _BulkNeighborhood:
-    """Vectorized neighbourhood scoring for one descent run."""
-
-    def __init__(
-        self,
-        application: PipelineApplication,
-        platform: Platform,
-        prefilter: _Prefilter,
-        backend: str | None = None,
-    ) -> None:
-        from .bulk import score_rows
-
-        self._score_rows = score_rows
-        self._evaluator = BulkEvaluator(application, platform, backend=backend)
-        self._n = application.num_stages
-        self._m = platform.size
-        self._prefilter = prefilter
-
-    def first_improvement(
-        self,
-        current: IntervalMapping,
-        rank: Callable[[IntervalMapping], _Rank],
-        current_rank: _Rank,
-        rng: random.Random,
-    ) -> tuple[IntervalMapping, _Rank] | None:
-        """The first scalar-confirmed improving move, in shuffled order.
-
-        Consumes the rng exactly like the scalar loop (one shuffle of an
-        equally long sequence), scores the whole pool in one bulk call,
-        and scalar-ranks only prefilter survivors.
-        """
-        rows = list(neighbor_rows(current, self._m))
-        order = list(range(len(rows)))
-        rng.shuffle(order)
-        if not rows:
-            return None
-        lats, fps = self._score_rows(self._evaluator, self._n, self._m, rows)
-        keep = self._prefilter(lats, fps, current_rank)
-        for idx in order:
-            if not keep[idx]:
-                continue
-            cand = row_mapping(rows[idx], self._m)
-            cand_rank = rank(cand)
-            if cand_rank < current_rank:
-                return cand, cand_rank
-        return None
+#: ``(latency, FP) -> rank`` of one query; lower ranks are better
+_RankOf = Callable[[float, float], _Rank]
+#: ``(state, its rank, move) -> True`` when the move's failure
+#: probability alone proves that the move does not improve on the state
+_Rejects = Callable[[IntervalMapping, _Rank, Move], bool]
 
 
 def _descend(
-    application: PipelineApplication,
-    platform: Platform,
+    cache: EvaluationCache,
     start: IntervalMapping,
-    rank: Callable[[IntervalMapping], _Rank],
+    start_rank: _Rank,
+    rank: _RankOf,
+    rejects: _Rejects,
     rng: random.Random,
     max_steps: int,
-    pool: _BulkNeighborhood | None = None,
-    trace: list[IntervalMapping] | None = None,
-    recorder: Any = None,
+    trace: list[IntervalMapping] | None,
+    recorder: Any,
 ) -> tuple[IntervalMapping, _Rank, int]:
-    current = start
-    current_rank = rank(current)
+    current, current_rank = start, start_rank
     steps = 0
     while steps < max_steps:
         steps += 1
-        if pool is not None:
-            found = pool.first_improvement(current, rank, current_rank, rng)
-            if found is None:
-                break
-            current, current_rank = found
-            if trace is not None:
-                trace.append(current)
-            if recorder is not None:
-                recorder.emit(
-                    "accept",
-                    mapping=mapping_to_dict(current),
-                    rank=current_rank,
-                )
-            continue
-        moves = list(neighbors(current, platform.size))
-        rng.shuffle(moves)
-        for cand in moves:
-            cand_rank = rank(cand)
+        neighborhood = Neighborhood(current, cache.platform.size)
+        order = list(range(neighborhood.size))
+        rng.shuffle(order)
+        for i in order:
+            move = neighborhood.move(i)
+            if rejects(current, current_rank, move):
+                continue
+            cand_rank = rank(*cache.objectives_with(current, *move))
             if cand_rank < current_rank:
-                current, current_rank = cand, cand_rank
+                current, current_rank = neighborhood.apply(move), cand_rank
                 if trace is not None:
                     trace.append(current)
                 if recorder is not None:
@@ -156,25 +98,29 @@ def _descend(
 def _solve(
     application: PipelineApplication,
     platform: Platform,
-    rank: Callable[[IntervalMapping], _Rank],
-    solver: str,
+    cache: EvaluationCache,
+    rank: _RankOf,
+    rejects: _Rejects,
     *,
     restarts: int,
     max_steps: int,
     seed: int | None,
-    pool: _BulkNeighborhood | None,
     trace: list[IntervalMapping] | None,
     warm_starts: list[IntervalMapping],
     recorder: Any = None,
 ) -> tuple[IntervalMapping, _Rank, int]:
     rng = recorder.rng(seed) if recorder is not None else random.Random(seed)
+
+    def mapping_rank(mapping: IntervalMapping) -> _Rank:
+        return rank(cache.latency(mapping), cache.failure_probability(mapping))
+
     # Deterministic starts: caller-supplied warm starts first (sweep
     # chaining seeds descents from the previous threshold's optimum —
     # descent is monotone, so the result can never rank worse than any
     # of them), then the best few single-interval candidates, then
     # random restarts up to the restart budget.
     warm = sorted(
-        single_interval_mappings(application, platform), key=rank
+        single_interval_mappings(application, platform), key=mapping_rank
     )
     starts: list[IntervalMapping] = [*warm_starts, *warm[:3]]
     while len(starts) < max(restarts, 1):
@@ -191,13 +137,13 @@ def _solve(
                 "restart", index=index, start=mapping_to_dict(start)
             )
         result, result_rank, steps = _descend(
-            application,
-            platform,
+            cache,
             start,
+            mapping_rank(start),
             rank,
+            rejects,
             rng,
             max_steps,
-            pool,
             trace,
             recorder,
         )
@@ -221,26 +167,20 @@ def local_search_minimize_fp(
     max_steps: int = 200,
     seed: int | None = 0,
     tolerance: float = 1e-9,
-    use_bulk: bool | None = None,
-    bulk_backend: str | None = None,
     trace: list[IntervalMapping] | None = None,
     warm_starts: WarmStarts | None = None,
     recorder: Any = None,
 ) -> SolverResult:
     """Hill-climbing for 'minimise FP subject to latency <= L'.
 
-    ``use_bulk`` selects vectorized neighbourhood scoring (``None`` =
-    automatic when numpy is present); ``bulk_backend`` picks the
-    evaluator's array engine (``"auto"`` / ``"jit"`` / ``"numpy"``, see
-    :func:`repro.core.metrics_bulk.resolve_backend`); the accepted-move
-    sequence and the result are identical either way.  Pass a list as ``trace`` to
-    collect every accepted mapping in order (equivalence testing /
-    trajectory inspection).  ``warm_starts`` (mappings or their
-    serialised dicts) seed extra descents ahead of the built-in starts;
-    the result never ranks worse than any supplied warm start (see
-    :mod:`repro.algorithms.heuristics.warm`).  ``recorder`` (a
-    :class:`repro.engine.recorder.RunRecorder`) captures restarts and
-    accepted moves as an event log without changing the trajectory.
+    Pass a list as ``trace`` to collect every accepted mapping in order
+    (equivalence testing / trajectory inspection).  ``warm_starts``
+    (mappings or their serialised dicts) seed extra descents ahead of
+    the built-in starts; the result never ranks worse than any supplied
+    warm start (see :mod:`repro.algorithms.heuristics.warm`).
+    ``recorder`` (a :class:`repro.engine.recorder.RunRecorder`) captures
+    restarts and accepted moves as an event log without changing the
+    trajectory.
 
     Raises
     ------
@@ -250,53 +190,33 @@ def local_search_minimize_fp(
         If a warm start does not fit the instance.
     """
     warm = decode_warm_starts(warm_starts, application, platform)
-    slack = tolerance * max(1.0, abs(latency_threshold))
-    # neighbourhood moves change one or two intervals, so memoized
-    # per-interval terms make re-ranking nearly free
+    bound = threshold_bound(latency_threshold, tolerance)
     cache = EvaluationCache(application, platform)
     if recorder is not None:
         recorder.observe_cache(cache)
 
-    def rank(mapping: IntervalMapping) -> _Rank:
-        lat = cache.latency(mapping)
-        fp = cache.failure_probability(mapping)
-        if lat <= latency_threshold + slack:
+    def rank(lat: float, fp: float) -> _Rank:
+        if lat <= bound:
             return (0, fp, lat)
         return (1, lat - latency_threshold, fp)
 
-    pool: _BulkNeighborhood | None = None
-    if resolve_use_bulk(use_bulk):
-        from .bulk import margin, value_margin
-
-        def prefilter(
-            lats: "np.ndarray", fps: "np.ndarray", cr: _Rank
-        ) -> "np.ndarray":
-            lat_slack = margin(latency_threshold)
-            maybe_feasible = lats <= latency_threshold + slack + lat_slack
-            if cr[0] == 0:
-                # improving on a feasible state needs fp <= current fp
-                # (ties fall through to the latency tie-break)
-                return maybe_feasible & (fps <= cr[1] + value_margin(cr[1]))
-            # an infeasible state improves by becoming feasible or by
-            # shrinking the latency excess
-            excess_slack = margin(latency_threshold, cr[1])
-            return maybe_feasible | (
-                lats - latency_threshold <= cr[1] + excess_slack
-            )
-
-        pool = _BulkNeighborhood(
-            application, platform, prefilter, backend=bulk_backend
+    def rejects(state: IntervalMapping, state_rank: _Rank, move: Move) -> bool:
+        # a feasible state is beaten only by a feasible move with no
+        # larger FP; an infeasible one ranks on latency first
+        return (
+            state_rank[0] == 0
+            and cache.failure_probability_with(state, *move) > state_rank[1]
         )
 
     best, best_rank, steps = _solve(
         application,
         platform,
+        cache,
         rank,
-        "local-search-min-fp",
+        rejects,
         restarts=restarts,
         max_steps=max_steps,
         seed=seed,
-        pool=pool,
         trace=trace,
         warm_starts=warm,
         recorder=recorder,
@@ -325,16 +245,14 @@ def local_search_minimize_latency(
     max_steps: int = 200,
     seed: int | None = 0,
     tolerance: float = 1e-9,
-    use_bulk: bool | None = None,
-    bulk_backend: str | None = None,
     trace: list[IntervalMapping] | None = None,
     warm_starts: WarmStarts | None = None,
     recorder: Any = None,
 ) -> SolverResult:
     """Hill-climbing for 'minimise latency subject to FP <= bound'.
 
-    ``use_bulk``/``bulk_backend``/``trace``/``warm_starts``/``recorder``
-    behave as in :func:`local_search_minimize_fp`.
+    ``trace``/``warm_starts``/``recorder`` behave as in
+    :func:`local_search_minimize_fp`.
 
     Raises
     ------
@@ -344,47 +262,33 @@ def local_search_minimize_latency(
         If a warm start does not fit the instance.
     """
     warm = decode_warm_starts(warm_starts, application, platform)
-    slack = tolerance * max(1.0, abs(fp_threshold))
+    bound = threshold_bound(fp_threshold, tolerance)
     cache = EvaluationCache(application, platform)
     if recorder is not None:
         recorder.observe_cache(cache)
 
-    def rank(mapping: IntervalMapping) -> _Rank:
-        lat = cache.latency(mapping)
-        fp = cache.failure_probability(mapping)
-        if fp <= fp_threshold + slack:
+    def rank(lat: float, fp: float) -> _Rank:
+        if fp <= bound:
             return (0, lat, fp)
         return (1, fp - fp_threshold, lat)
 
-    pool: _BulkNeighborhood | None = None
-    if resolve_use_bulk(use_bulk):
-        from .bulk import margin, value_margin
-
-        def prefilter(
-            lats: "np.ndarray", fps: "np.ndarray", cr: _Rank
-        ) -> "np.ndarray":
-            fp_slack = value_margin(fp_threshold)
-            maybe_feasible = fps <= fp_threshold + slack + fp_slack
-            if cr[0] == 0:
-                return maybe_feasible & (lats <= cr[1] + margin(cr[1]))
-            excess_slack = value_margin(fp_threshold, cr[1])
-            return maybe_feasible | (
-                fps - fp_threshold <= cr[1] + excess_slack
-            )
-
-        pool = _BulkNeighborhood(
-            application, platform, prefilter, backend=bulk_backend
+    def rejects(state: IntervalMapping, state_rank: _Rank, move: Move) -> bool:
+        # a move over the FP bound beats no feasible state, and beats an
+        # infeasible one only with an FP excess no larger than its own
+        fp = cache.failure_probability_with(state, *move)
+        return fp > bound and (
+            state_rank[0] == 0 or fp - fp_threshold > state_rank[1]
         )
 
     best, best_rank, steps = _solve(
         application,
         platform,
+        cache,
         rank,
-        "local-search-min-latency",
+        rejects,
         restarts=restarts,
         max_steps=max_steps,
         seed=seed,
-        pool=pool,
         trace=trace,
         warm_starts=warm,
         recorder=recorder,

@@ -22,16 +22,10 @@ six move kinds, and move ``i`` decodes on its own, in ``O(p)``, as
 ``((start, end), allocation)`` pairs" — the form
 :meth:`~repro.core.metrics.EvaluationCache.objectives_with` scores from
 cached interval terms.  :func:`neighbors` and :func:`random_neighbor`
-are expressed through it, so the order of the moves is defined once;
-the annealer draws one index per proposal and builds a mapping object
-only for the moves it accepts.
-
-The same move set also exists in *row* form for local search's bulk
-path: :func:`neighbor_rows` yields padded-free ``(ends, masks)``
-integer tuples — exactly one per :func:`neighbors` yield, in exactly
-the same order — for :class:`~repro.core.metrics_bulk.BulkEvaluator`;
-only the few candidates a solver actually inspects are decoded back via
-:func:`row_mapping`.
+are expressed through it, so the order of the moves is defined once.
+The annealer draws one index per proposal and local search walks a
+shuffled list of indices; both build a mapping object only for the
+moves they accept.
 """
 
 from __future__ import annotations
@@ -44,15 +38,9 @@ from ...core.mapping import IntervalMapping, StageInterval
 __all__ = [
     "Neighborhood",
     "neighbors",
-    "neighbor_rows",
-    "row_mapping",
     "random_neighbor",
     "random_mapping",
 ]
-
-#: One neighbourhood candidate in row encoding: interval end boundaries
-#: and allocation bitmasks (bit ``u-1`` = processor ``u``), unpadded.
-Row = tuple[tuple[int, ...], tuple[int, ...]]
 
 #: One move in replacement form: ``(j, k, replacement)`` replaces
 #: intervals ``j..j+k-1`` with the ``((start, end), allocation)`` pairs
@@ -238,110 +226,6 @@ def neighbors(
     neighborhood = Neighborhood(mapping, num_processors)
     for i in range(neighborhood.size):
         yield neighborhood[i]
-
-
-def _mask(processors: Iterator[int] | list[int] | set[int]) -> int:
-    result = 0
-    for u in processors:
-        result |= 1 << (u - 1)
-    return result
-
-
-def neighbor_rows(
-    mapping: IntervalMapping, num_processors: int
-) -> Iterator[Row]:
-    """Yield every move of :func:`neighbors` in ``(ends, masks)`` row form.
-
-    The contract is strict: row ``i`` decodes (via :func:`row_mapping`)
-    to exactly move ``i`` of :class:`Neighborhood`, so local search's
-    bulk path inherits the scalar loop's candidate order — which is
-    what keeps its first-improvement descent bit-identical between the
-    two paths (a machine-checked property; the generator is written
-    independently of :class:`Neighborhood`, so each checks the other's
-    order).
-    """
-    ends = tuple(iv.end for iv in mapping.intervals)
-    masks = tuple(_mask(a) for a in mapping.allocations)
-    allocs = [sorted(a) for a in mapping.allocations]
-    p = len(ends)
-    used = mapping.used_processors
-    unused = [u for u in range(1, num_processors + 1) if u not in used]
-    unused_bits = [1 << (u - 1) for u in unused]
-
-    # shift boundaries
-    starts = (1,) + tuple(e + 1 for e in ends[:-1])
-    for j in range(p - 1):
-        s1, e1 = starts[j], ends[j]
-        s2, e2 = starts[j + 1], ends[j + 1]
-        if e1 > s1:  # give last stage of I_j to I_{j+1}
-            yield ends[:j] + (e1 - 1,) + ends[j + 1 :], masks
-        if e2 > s2:  # take first stage of I_{j+1}
-            yield ends[:j] + (e1 + 1,) + ends[j + 1 :], masks
-
-    # merge adjacent intervals
-    for j in range(p - 1):
-        yield (
-            ends[:j] + ends[j + 1 :],
-            masks[:j] + (masks[j] | masks[j + 1],) + masks[j + 2 :],
-        )
-
-    # split an interval
-    for j in range(p):
-        s, e = starts[j], ends[j]
-        alloc = allocs[j]
-        full = masks[j]
-        for cut in range(s, e):
-            split_ends = ends[:j] + (cut,) + ends[j:]
-            if len(alloc) >= 2:
-                half = len(alloc) // 2
-                left, right = _mask(alloc[:half]), _mask(alloc[half:])
-                yield split_ends, masks[:j] + (left, right) + masks[j + 1 :]
-            for extra in unused_bits:
-                yield split_ends, masks[:j] + (full, extra) + masks[j + 1 :]
-                yield split_ends, masks[:j] + (extra, full) + masks[j + 1 :]
-
-    # add a replica
-    for j in range(p):
-        for extra in unused_bits:
-            yield ends, masks[:j] + (masks[j] | extra,) + masks[j + 1 :]
-
-    # drop a replica
-    for j in range(p):
-        if len(allocs[j]) > 1:
-            for victim in allocs[j]:
-                bit = 1 << (victim - 1)
-                yield ends, masks[:j] + (masks[j] & ~bit,) + masks[j + 1 :]
-
-    # swap an enrolled processor for an unused one
-    for j in range(p):
-        for victim in allocs[j]:
-            bit = 1 << (victim - 1)
-            without = masks[j] & ~bit
-            for extra in unused_bits:
-                yield ends, masks[:j] + (without | extra,) + masks[j + 1 :]
-
-
-def row_mapping(
-    row: Row, num_processors: int
-) -> IntervalMapping:
-    """Decode one ``(ends, masks)`` row back into an :class:`IntervalMapping`.
-
-    Rows come from :func:`neighbor_rows`, whose moves preserve validity
-    by construction, so decoding skips structural re-validation.
-    """
-    ends, masks = row
-    intervals = []
-    allocations = []
-    start = 1
-    for end, mask in zip(ends, masks):
-        intervals.append(StageInterval(start, end))
-        allocations.append(
-            frozenset(
-                u + 1 for u in range(num_processors) if mask >> u & 1
-            )
-        )
-        start = end + 1
-    return IntervalMapping._trusted(tuple(intervals), tuple(allocations))
 
 
 def random_neighbor(

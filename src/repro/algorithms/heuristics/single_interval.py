@@ -19,27 +19,18 @@ On Fully Heterogeneous platforms the same sweep runs with the eq. (2)
 metric; the reliability-greedy choice per ``(k, sigma)`` cell is then a
 heuristic (link costs may favour other replicas), flagged accordingly.
 
-With numpy present (``use_bulk``) the candidate grid is scored through
-:class:`~repro.core.metrics_bulk.BulkEvaluator` in one block; the
-handful of candidates within the conservative prefilter margin of the
-bulk optimum are re-evaluated through the scalar metrics, so the
-selected mapping and its reported objectives are identical to the
-scalar sweep's.
+The grid holds at most ``m(m+1)/2`` candidates, so a solve evaluates
+each one through the plain metric functions; no numpy is needed.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ..result import SolverResult
+from ..result import SolverResult, threshold_bound
 from ...core.application import PipelineApplication
 from ...core.mapping import IntervalMapping
 from ...core.metrics import failure_probability, latency
-from ...core.metrics_bulk import (
-    BlockBuilder,
-    BulkEvaluator,
-    resolve_use_bulk,
-)
 from ...core.platform import Platform
 from ...core.serialization import mapping_to_dict
 from ...exceptions import InfeasibleProblemError
@@ -59,8 +50,8 @@ def single_interval_replica_sets(
     """The deduplicated ``(replica set, k, speed floor)`` candidate grid.
 
     The raw material of :func:`single_interval_candidates`, exposed
-    separately so callers that only need the *pool* (warm starts, the
-    bulk scoring path) skip the per-candidate scalar evaluations.
+    separately so callers that only need the *pool* (the warm starts of
+    local search and annealing) skip the per-candidate evaluations.
     Order is deterministic: speed floors descending, then cardinality
     ascending, first occurrence of each distinct set kept.
     """
@@ -105,58 +96,21 @@ def single_interval_candidates(
     Exact coverage of the single-interval Pareto set on Communication
     Homogeneous platforms; heuristic coverage otherwise.
     """
-    grid = single_interval_replica_sets(platform)
-    return _evaluate_grid_subset(
-        application, platform, grid, range(len(grid))
-    )
-
-
-def _bulk_candidate_survivors(
-    application: PipelineApplication,
-    platform: Platform,
-    threshold: float,
-    slack: float,
-    minimize_fp: bool,
-    backend: str | None = None,
-) -> list[SolverResult]:
-    """Scalar-evaluated grid candidates that may win, per the bulk prefilter.
-
-    Conservative in the strict sense: every candidate the scalar sweep
-    could select (or that could tie-break the selection) survives; see
-    :mod:`repro.algorithms.heuristics.bulk` for the margin contract.
-    """
-    import numpy as np
-
-    from .bulk import margin, value_margin
-    from .neighborhood import _mask
-
-    grid = single_interval_replica_sets(platform)
     n = application.num_stages
-    builder = BlockBuilder(n, platform.size, capacity=len(grid))
-    for procs, _, _ in grid:
-        builder.append((n,), (_mask(procs),))
-    evaluator = BulkEvaluator(application, platform, backend=backend)
-    lats, fps = evaluator.evaluate_block(builder.build())
-
-    if minimize_fp:
-        constrained, objective = lats, fps
-        slack_margin = margin(threshold)
-        objective_margin = value_margin
-    else:
-        constrained, objective = fps, lats
-        slack_margin = value_margin(threshold)
-        objective_margin = margin
-    maybe = constrained <= threshold + slack + slack_margin
-    clearly = constrained <= threshold + slack - slack_margin
-    if bool(clearly.any()):
-        best = float(objective[clearly].min())
-        cutoff = best + objective_margin(best)
-        keep = maybe & (objective <= cutoff)
-    else:
-        keep = maybe
-    return _evaluate_grid_subset(
-        application, platform, grid, (int(i) for i in np.flatnonzero(keep))
-    )
+    results: list[SolverResult] = []
+    for procs, k, sigma in single_interval_replica_sets(platform):
+        mapping = IntervalMapping.single_interval(n, procs)
+        results.append(
+            SolverResult(
+                mapping=mapping,
+                latency=latency(mapping, application, platform),
+                failure_probability=failure_probability(mapping, platform),
+                solver="single-interval-grid",
+                optimal=False,
+                extras={"k": k, "speed_floor": sigma},
+            )
+        )
+    return results
 
 
 def single_interval_minimize_fp(
@@ -165,45 +119,27 @@ def single_interval_minimize_fp(
     latency_threshold: float,
     *,
     tolerance: float = 1e-9,
-    use_bulk: bool | None = None,
-    bulk_backend: str | None = None,
     recorder: Any = None,
 ) -> SolverResult:
     """Best single-interval FP under a latency threshold.
 
     Exact among single-interval mappings on Communication Homogeneous
     platforms (see module docstring); heuristic on Fully Heterogeneous
-    ones.  ``use_bulk`` selects vectorized grid scoring (``None`` =
-    automatic when numpy is present); ``bulk_backend`` picks the
-    evaluator's array engine (``"auto"`` / ``"jit"`` / ``"numpy"``, see
-    :func:`repro.core.metrics_bulk.resolve_backend`); the selected
-    mapping and reported objectives are identical either way.  ``recorder`` (a
-    :class:`repro.engine.recorder.RunRecorder`) captures the winning
-    candidate; the grid-size event is diagnostic only (the bulk path
-    scalar-evaluates just the prefilter survivors).
+    ones.  ``recorder`` (a :class:`repro.engine.recorder.RunRecorder`)
+    captures the grid size and the winning candidate.
 
     Raises
     ------
     InfeasibleProblemError
         If no candidate meets the threshold.
     """
-    slack = tolerance * max(1.0, abs(latency_threshold))
-    if resolve_use_bulk(use_bulk):
-        candidates = _bulk_candidate_survivors(
-            application,
-            platform,
-            latency_threshold,
-            slack,
-            minimize_fp=True,
-            backend=bulk_backend,
-        )
-    else:
-        candidates = single_interval_candidates(application, platform)
+    bound = threshold_bound(latency_threshold, tolerance)
+    candidates = single_interval_candidates(application, platform)
     if recorder is not None:
         recorder.emit("grid", candidates=len(candidates))
     best: SolverResult | None = None
     for cand in candidates:
-        if cand.latency > latency_threshold + slack:
+        if cand.latency > bound:
             continue
         if best is None or (
             (cand.failure_probability, cand.latency)
@@ -237,63 +173,26 @@ def single_interval_minimize_fp(
     )
 
 
-def _evaluate_grid_subset(
-    application: PipelineApplication,
-    platform: Platform,
-    grid: list[tuple[frozenset[int], int, float]],
-    indices,
-) -> list[SolverResult]:
-    """Scalar-evaluate selected grid candidates, preserving grid order."""
-    n = application.num_stages
-    results: list[SolverResult] = []
-    for i in indices:
-        procs, k, sigma = grid[i]
-        mapping = IntervalMapping.single_interval(n, procs)
-        results.append(
-            SolverResult(
-                mapping=mapping,
-                latency=latency(mapping, application, platform),
-                failure_probability=failure_probability(mapping, platform),
-                solver="single-interval-grid",
-                optimal=False,
-                extras={"k": k, "speed_floor": sigma},
-            )
-        )
-    return results
-
-
 def single_interval_minimize_latency(
     application: PipelineApplication,
     platform: Platform,
     fp_threshold: float,
     *,
     tolerance: float = 1e-9,
-    use_bulk: bool | None = None,
-    bulk_backend: str | None = None,
     recorder: Any = None,
 ) -> SolverResult:
     """Best single-interval latency under an FP threshold.
 
-    Exactness mirrors :func:`single_interval_minimize_fp`, as do the
-    ``use_bulk``/``bulk_backend``/``recorder`` contracts.
+    Exactness mirrors :func:`single_interval_minimize_fp`, as does the
+    ``recorder`` contract.
     """
-    slack = tolerance * max(1.0, abs(fp_threshold))
-    if resolve_use_bulk(use_bulk):
-        candidates = _bulk_candidate_survivors(
-            application,
-            platform,
-            fp_threshold,
-            slack,
-            minimize_fp=False,
-            backend=bulk_backend,
-        )
-    else:
-        candidates = single_interval_candidates(application, platform)
+    bound = threshold_bound(fp_threshold, tolerance)
+    candidates = single_interval_candidates(application, platform)
     if recorder is not None:
         recorder.emit("grid", candidates=len(candidates))
     best: SolverResult | None = None
     for cand in candidates:
-        if cand.failure_probability > fp_threshold + slack:
+        if cand.failure_probability > bound:
             continue
         if best is None or (
             (cand.latency, cand.failure_probability)

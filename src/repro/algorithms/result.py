@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..core.mapping import GeneralMapping, IntervalMapping
 
-__all__ = ["SolverResult"]
+__all__ = ["SolverResult", "threshold_bound"]
 
 
 @dataclass(frozen=True)
@@ -52,3 +53,17 @@ class SolverResult:
             f"SolverResult[{self.solver}] latency={self.latency:.6g} "
             f"FP={self.failure_probability:.6g} mapping={self.mapping}"
         )
+
+
+def threshold_bound(threshold: float, tolerance: float) -> float:
+    """The largest objective value a solver accepts under ``threshold``.
+
+    ``threshold + tolerance * max(1.0, abs(threshold))``: a relative
+    slack that absorbs round-off in sums of per-stage terms.  An
+    infinite threshold is its own bound, because its slack would be
+    infinite too and ``-inf + inf`` is NaN, which every comparison
+    rejects silently.
+    """
+    if math.isinf(threshold):
+        return threshold
+    return threshold + tolerance * max(1.0, abs(threshold))

@@ -403,10 +403,13 @@ class EvaluationCache:
     Neighbouring mappings — consecutive states in exhaustive enumeration,
     or local-search / annealing moves — share almost all of their terms,
     so after a warm-up each evaluation is a handful of dictionary lookups
-    instead of a full metric recomputation.  Terms are accumulated in the
-    exact order the plain functions use, so results are **bit-for-bit
-    identical** to :func:`latency` / :func:`failure_probability` /
-    :func:`evaluate` (a machine-checked property).
+    instead of a full metric recomputation.  A move need not even be
+    built: :meth:`objectives_with` and :meth:`failure_probability_with`
+    score a mapping with one run of intervals replaced, looking up only
+    the new intervals' terms.  Terms are accumulated in the exact order
+    the plain functions use, so results are **bit-for-bit identical** to
+    :func:`latency` / :func:`failure_probability` / :func:`evaluate` (a
+    machine-checked property).
 
     The cache trusts its callers on compatibility (it performs the cheap
     stage-count / processor-index check of ``validate_mapping`` inline
@@ -472,6 +475,19 @@ class EvaluationCache:
 
     def _check_compatible(self, mapping: IntervalMapping) -> None:
         validate_mapping(mapping, self.application, self.platform)
+
+    def _check_replacement(
+        self,
+        mapping: IntervalMapping,
+        j: int,
+        k: int,
+        replacement: Sequence[tuple[tuple[int, int], frozenset[int]]],
+    ) -> None:
+        intervals = list(mapping.intervals)
+        allocations = list(mapping.allocations)
+        intervals[j : j + k] = [span for span, _ in replacement]
+        allocations[j : j + k] = [alloc for _, alloc in replacement]
+        self._check_compatible(IntervalMapping(intervals, allocations))
 
     # ------------------------------------------------------------------
     # failure probability
@@ -688,13 +704,15 @@ class EvaluationCache:
         in the order :meth:`latency` and :meth:`failure_probability`
         use, so both values are bit-identical to evaluating the new
         mapping (a machine-checked property).
+
+        The two folds share one loop over the new intervals on purpose:
+        this is greedy's and annealing's hot path, and composing it from
+        :meth:`failure_probability_with` and a latency half would pay a
+        second base lookup and a second pass over the new intervals on
+        every call.
         """
         if self.check:
-            intervals = list(mapping.intervals)
-            allocations = list(mapping.allocations)
-            intervals[j : j + k] = [span for span, _ in replacement]
-            allocations[j : j + k] = [alloc for _, alloc in replacement]
-            self._check_compatible(IntervalMapping(intervals, allocations))
+            self._check_replacement(mapping, j, k, replacement)
         base = self._base
         if base is None or base[0] is not mapping:
             base = self._base_terms(mapping)
@@ -739,3 +757,33 @@ class EvaluationCache:
         for term in rel[rest:]:
             log_success += term
         return total, -math.expm1(log_success)
+
+    def failure_probability_with(
+        self,
+        mapping: IntervalMapping,
+        j: int,
+        k: int,
+        replacement: Sequence[tuple[tuple[int, int], frozenset[int]]],
+    ) -> float:
+        """The failure probability of :meth:`objectives_with`, alone.
+
+        Same arguments, same base memo and the same fold: the kept
+        prefix's running sum, then the new allocations' terms, then the
+        kept suffix, so the value is bit-identical to
+        ``objectives_with(...)[1]`` and to evaluating the new mapping.
+        It looks up no latency term, which makes it about half the cost
+        of :meth:`objectives_with` — local search uses it to reject the
+        moves whose failure probability alone proves them no better.
+        """
+        if self.check:
+            self._check_replacement(mapping, j, k, replacement)
+        base = self._base
+        if base is None or base[0] is not mapping:
+            base = self._base_terms(mapping)
+        rel, rel_sums = base[1], base[2]
+        log_success = rel_sums[j]
+        for _, alloc in replacement:
+            log_success += self._rel_term(alloc)
+        for term in rel[j + k :]:
+            log_success += term
+        return -math.expm1(log_success)

@@ -48,7 +48,7 @@ thread-shard fan-out (no nested parallelism).  ``"auto"`` prefers the
 compiled kernels and falls back to numpy; the scalar fallback stays at
 the :func:`resolve_use_bulk` level.  All backends honour the same
 :data:`BULK_RELATIVE_TOLERANCE` contract, so the consumers' scalar
-confirmation keeps trajectories bit-identical across every backend.
+confirmation keeps their results bit-identical across every backend.
 """
 
 from __future__ import annotations

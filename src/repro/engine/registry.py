@@ -398,6 +398,9 @@ _spec(
     needs_threshold=True,
     platforms=_UNIFORM_LINKS,
     description="branch-and-bound exact min FP (uniform links)",
+    # v2: a threshold of -inf is infeasible (it was a NaN bound that
+    # accepted every mapping) — finite and +inf answers unchanged
+    version=2,
 )
 _spec(
     name="bnb-min-latency",
@@ -423,6 +426,12 @@ _spec(
 # v5 (anneal): proposals drawn by index and scored from cached interval
 # terms, use_bulk and bulk_backend options removed — trajectories and
 # results unchanged, option surface changed
+# v5 (local search) / v4 (single-interval): moves scored from cached
+# interval terms (local search) and the scalar grid only (single-interval),
+# use_bulk and bulk_backend options removed — trajectories and results
+# unchanged, option surface changed
+# v6 (greedy/anneal): a threshold of -inf is infeasible (it was a NaN bound
+# that accepted every mapping) — finite and +inf answers unchanged
 _spec(
     name="single-interval-min-fp",
     func=heuristics.single_interval_minimize_fp,
@@ -431,7 +440,7 @@ _spec(
     needs_threshold=True,
     recordable=True,
     description="best single-interval mapping under a latency bound",
-    version=3,
+    version=4,
 )
 _spec(
     name="single-interval-min-latency",
@@ -441,7 +450,7 @@ _spec(
     needs_threshold=True,
     recordable=True,
     description="best single-interval mapping under an FP bound",
-    version=3,
+    version=4,
 )
 _spec(
     name="greedy-min-fp",
@@ -452,7 +461,7 @@ _spec(
     warm_startable=True,
     recordable=True,
     description="constructive split-and-replicate (latency bound)",
-    version=5,
+    version=6,
 )
 _spec(
     name="greedy-min-latency",
@@ -463,7 +472,7 @@ _spec(
     warm_startable=True,
     recordable=True,
     description="constructive split-and-replicate (FP bound)",
-    version=5,
+    version=6,
 )
 _spec(
     name="local-search-min-fp",
@@ -475,7 +484,7 @@ _spec(
     warm_startable=True,
     recordable=True,
     description="multi-restart hill climbing (latency bound)",
-    version=4,
+    version=5,
 )
 _spec(
     name="local-search-min-latency",
@@ -487,7 +496,7 @@ _spec(
     warm_startable=True,
     recordable=True,
     description="multi-restart hill climbing (FP bound)",
-    version=4,
+    version=5,
 )
 _spec(
     name="anneal-min-fp",
@@ -499,7 +508,7 @@ _spec(
     warm_startable=True,
     recordable=True,
     description="simulated annealing (latency bound)",
-    version=5,
+    version=6,
 )
 _spec(
     name="anneal-min-latency",
@@ -511,5 +520,5 @@ _spec(
     warm_startable=True,
     recordable=True,
     description="simulated annealing (FP bound)",
-    version=5,
+    version=6,
 )

@@ -23,94 +23,31 @@ from repro.algorithms.heuristics import (
     anneal_minimize_latency,
 )
 from repro.api import diff_runs, record_run
-from repro.core import IntervalMapping, Platform, latency
+from repro.core import IntervalMapping, Platform
 from repro.core.serialization import mapping_to_dict
-from repro.engine.recorder import RunRecorder
 from repro.exceptions import InfeasibleProblemError
 
 from tests.algorithms.anneal_reference import (
     reference_anneal_minimize_fp,
     reference_anneal_minimize_latency,
 )
-from tests.helpers import make_instance
-from tests.strategies import (
-    applications,
-    comm_homogeneous_platforms,
-    fully_heterogeneous_platforms,
-    fully_homogeneous_platforms,
-    interval_mappings,
+from tests.algorithms.oracle import (
+    PLATFORM_STRATEGIES,
+    all_replicas_latency,
+    assert_matches_reference,
+    instances,
+    run,
 )
+from tests.helpers import make_instance
 
 QUERIES = {
     "min-fp": (anneal_minimize_fp, reference_anneal_minimize_fp),
     "min-latency": (anneal_minimize_latency, reference_anneal_minimize_latency),
 }
 
-PLATFORM_STRATEGIES = {
-    # every processor alike: energy ties everywhere
-    "fully-homogeneous": fully_homogeneous_platforms(1, 6),
-    "comm-homogeneous": comm_homogeneous_platforms(1, 6),
-    "fully-heterogeneous": fully_heterogeneous_platforms(1, 5),
-    # processor indices past the 8- and 16-slot set hash tables
-    "wide-m17": comm_homogeneous_platforms(17, 17),
-}
-
-
-def _run(fn, app, plat, threshold, *, recorded=True, **opts):
-    """``(result or None, accepted trace, recorded events)`` of one solve."""
-    recorder = RunRecorder() if recorded else None
-    trace: list = []
-    try:
-        result = fn(app, plat, threshold, trace=trace, recorder=recorder, **opts)
-        error = None
-    except InfeasibleProblemError as exc:
-        result, error = None, f"{type(exc).__name__}: {exc}"
-    if recorder is None:
-        return result, trace, None
-    recorder.finish(result, error)
-    return result, trace, recorder.events
-
-
-def _assert_same_result(got, want):
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert got.mapping == want.mapping
-        assert got.latency == want.latency
-        assert got.failure_probability == want.failure_probability
-        assert got.extras == want.extras
-        assert got.solver == want.solver
-
 
 def _assert_matches_reference(query, app, plat, threshold, **opts):
-    fn, reference = QUERIES[query]
-    got, got_trace, got_events = _run(fn, app, plat, threshold, **opts)
-    want, want_trace, want_events = _run(reference, app, plat, threshold, **opts)
-    report = diff_runs(want_events, got_events)
-    assert report.ok, report.summary()
-    assert got_trace == want_trace
-    _assert_same_result(got, want)
-    # the unrecorded walk is the recorded one
-    plain, plain_trace, _ = _run(fn, app, plat, threshold, recorded=False, **opts)
-    assert plain_trace == got_trace
-    _assert_same_result(plain, got)
-    return got, got_trace, got_events
-
-
-def _all_replicas_latency(app, plat):
-    everything = IntervalMapping.single_interval(
-        app.num_stages, set(range(1, plat.size + 1))
-    )
-    return latency(everything, app, plat)
-
-
-@st.composite
-def _instances(draw, kind):
-    app = draw(applications(max_stages=6))
-    plat = draw(PLATFORM_STRATEGIES[kind])
-    warm = draw(
-        st.lists(interval_mappings(app.num_stages, plat.size), max_size=2)
-    )
-    return app, plat, warm
+    return assert_matches_reference(*QUERIES[query], app, plat, threshold, **opts)
 
 
 @st.composite
@@ -129,9 +66,9 @@ class TestAgainstReference:
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_min_fp(self, kind, data):
-        app, plat, warm = data.draw(_instances(kind))
+        app, plat, warm = data.draw(instances(kind))
         factor = data.draw(st.floats(min_value=0.2, max_value=2.5))
-        threshold = factor * _all_replicas_latency(app, plat)
+        threshold = factor * all_replicas_latency(app, plat)
         opts = {
             "schedule": data.draw(_schedules()),
             "seed": data.draw(st.integers(min_value=0, max_value=2**16)),
@@ -145,10 +82,10 @@ class TestAgainstReference:
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_min_latency(self, kind, data):
-        app, plat, warm = data.draw(_instances(kind))
+        app, plat, warm = data.draw(instances(kind))
         bound = data.draw(st.floats(min_value=0.0, max_value=1.0))
         # energies are in latency units here: scale the temperature
-        scale = max(_all_replicas_latency(app, plat), 1.0)
+        scale = max(all_replicas_latency(app, plat), 1.0)
         opts = {
             "schedule": data.draw(_schedules(scale)),
             "seed": data.draw(st.integers(min_value=0, max_value=2**16)),
@@ -171,7 +108,7 @@ class TestAgainstReference:
         """The solvers' own 2000-step defaults."""
         app, plat = make_instance(kind, n=5, m=4, seed=1)
         threshold = (
-            2.0 * _all_replicas_latency(app, plat) if query == "min-fp" else 0.9
+            2.0 * all_replicas_latency(app, plat) if query == "min-fp" else 0.9
         )
         result, trace, _ = _assert_matches_reference(query, app, plat, threshold, seed=3)
         assert result is not None and trace
@@ -187,7 +124,7 @@ class TestAgainstReference:
     def test_8000_step_schedule(self, query, kind):
         """A deep schedule: the frozen phase re-draws memoised moves."""
         app, plat = make_instance(kind, n=6, m=4, seed=2)
-        base = _all_replicas_latency(app, plat)
+        base = all_replicas_latency(app, plat)
         threshold = 2.0 * base if query == "min-fp" else 0.9
         scale = 1.0 if query == "min-fp" else base
         schedule = AnnealingSchedule(
@@ -210,7 +147,7 @@ class TestAgainstReference:
             failure_probabilities=[rng.uniform(0.05, 0.6) for _ in range(17)],
         )
         app, _ = make_instance("comm-homogeneous", n=8, m=4, seed=4)
-        threshold = 2.0 * _all_replicas_latency(app, plat)
+        threshold = 2.0 * all_replicas_latency(app, plat)
         result, trace, _ = _assert_matches_reference(
             "min-fp", app, plat, threshold, seed=1,
             schedule=AnnealingSchedule(steps=400),
@@ -222,7 +159,7 @@ class TestAgainstReference:
         """No move applies: every step proposes the current state, which
         is accepted without an acceptance draw."""
         app, plat = make_instance("comm-homogeneous", n=1, m=1, seed=0)
-        threshold = 2.0 * _all_replicas_latency(app, plat) if query == "min-fp" else 1.0
+        threshold = 2.0 * all_replicas_latency(app, plat) if query == "min-fp" else 1.0
         result, trace, events = _assert_matches_reference(
             query, app, plat, threshold, schedule=AnnealingSchedule(steps=5)
         )
@@ -255,9 +192,9 @@ class TestRecordedRuns:
     def test_recording_matches_reference(self, solver, query, threshold):
         app, plat = make_instance("comm-homogeneous", n=5, m=4, seed=2)
         if threshold is None:
-            threshold = 2.0 * _all_replicas_latency(app, plat)
+            threshold = 2.0 * all_replicas_latency(app, plat)
         result, recording = record_run(solver, app, plat, threshold, seed=11)
-        _, _, reference_events = _run(
+        _, _, reference_events = run(
             QUERIES[query][1], app, plat, threshold, seed=11
         )
         report = diff_runs(reference_events, recording)
@@ -273,7 +210,7 @@ class TestRecordedRuns:
         monkeypatch.setattr(mb, "HAS_NUMPY", False)
         monkeypatch.setattr(mb, "_np", None)
         app, plat = make_instance("fully-heterogeneous", n=5, m=4, seed=1)
-        threshold = 2.0 * _all_replicas_latency(app, plat)
+        threshold = 2.0 * all_replicas_latency(app, plat)
         schedule = AnnealingSchedule(steps=300)
         _assert_matches_reference("min-fp", app, plat, threshold, schedule=schedule)
         _assert_matches_reference("min-latency", app, plat, 0.5, schedule=schedule)

@@ -1,5 +1,7 @@
 """Tests for Algorithms 1-4 (Theorems 5-6) against the exhaustive baseline."""
 
+import math
+
 import pytest
 
 from repro.algorithms.bicriteria import (
@@ -58,6 +60,18 @@ class TestAlgorithm1:
             result = algorithm1_minimize_fp(app, plat, threshold)
             k_formula = closed_form_replication_bound(app, plat, threshold)
             assert result.extras["replication"] == k_formula
+
+    @pytest.mark.parametrize(
+        ("threshold", "k"), [(math.inf, 5), (-math.inf, 0)], ids=["inf", "-inf"]
+    )
+    def test_closed_form_at_infinite_thresholds(self, threshold, k):
+        """Every processor fits under +inf, none under -inf (the floor
+        of an infinite budget would overflow or be NaN)."""
+        app = random_application(3, seed=11)
+        plat = Platform.fully_homogeneous(
+            5, speed=2.0, bandwidth=3.0, failure_probability=0.4
+        )
+        assert closed_form_replication_bound(app, plat, threshold) == k
 
     def test_uses_most_reliable(self):
         app = random_application(2, seed=3)

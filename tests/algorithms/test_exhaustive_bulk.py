@@ -84,6 +84,36 @@ class TestThresholdSolvers:
             )
 
 
+class TestUseBulkKnob:
+    """The three-state ``use_bulk`` knob, now only on the exhaustive
+    solvers."""
+
+    def test_true_without_numpy_raises(self, monkeypatch):
+        import repro.core.metrics_bulk as mb
+
+        monkeypatch.setattr(mb, "HAS_NUMPY", False)
+        app, plat = make_instance("comm-homogeneous", n=4, m=3, seed=0)
+        for fn, threshold in (
+            (exhaustive_minimize_fp, _mid_threshold(app, plat)),
+            (exhaustive_minimize_latency, 0.5),
+        ):
+            with pytest.raises(SolverError, match="requires numpy"):
+                fn(app, plat, threshold, use_bulk=True)
+
+    def test_auto_resolves_off_without_numpy(self, monkeypatch):
+        import repro.core.metrics_bulk as mb
+
+        monkeypatch.setattr(mb, "HAS_NUMPY", False)
+        app, plat = make_instance("comm-homogeneous", n=4, m=3, seed=0)
+        threshold = _mid_threshold(app, plat)
+        # use_bulk=None silently takes the scalar path
+        auto = exhaustive_minimize_fp(app, plat, threshold, use_bulk=None)
+        assert "bulk" not in auto.extras
+        assert_same_result(
+            auto, exhaustive_minimize_fp(app, plat, threshold, use_bulk=False)
+        )
+
+
 class TestParetoFront:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("seed", range(3))

@@ -17,8 +17,10 @@ from repro.algorithms.heuristics import (
     local_search_minimize_fp,
     local_search_minimize_latency,
     single_interval_candidates,
+    single_interval_mappings,
     single_interval_minimize_fp,
     single_interval_minimize_latency,
+    single_interval_replica_sets,
 )
 from repro.core import failure_probability, latency
 from repro.exceptions import InfeasibleProblemError
@@ -85,6 +87,25 @@ class TestSingleIntervalGrid:
             single_interval_minimize_latency(
                 fig5.application, fig5.platform, 1e-9
             )
+
+    def test_replica_set_pool_matches_candidates(self):
+        app, plat = make_instance("comm-homogeneous", n=5, m=6, seed=0)
+        candidates = single_interval_candidates(app, plat)
+        grid = single_interval_replica_sets(plat)
+        assert len(candidates) == len(grid)
+        for cand, (procs, k, sigma) in zip(candidates, grid):
+            assert cand.mapping.allocations[0] == procs
+            assert cand.extras == {"k": k, "speed_floor": sigma}
+        assert single_interval_mappings(app, plat) == [
+            c.mapping for c in candidates
+        ]
+
+    @pytest.mark.parametrize("option", ["use_bulk", "bulk_backend"])
+    def test_bulk_options_are_gone(self, option):
+        app, plat = make_instance("comm-homogeneous", n=3, m=2, seed=0)
+        for fn in (single_interval_minimize_fp, single_interval_minimize_latency):
+            with pytest.raises(TypeError, match=option):
+                fn(app, plat, 100.0, **{option: None})
 
 
 class TestBalancedPartition:

@@ -8,18 +8,107 @@ from hypothesis import strategies as st
 
 from repro.algorithms.heuristics import (
     Neighborhood,
-    neighbor_rows,
     neighbors,
     random_mapping,
     random_neighbor,
-    row_mapping,
 )
-from repro.core import IntervalMapping, Platform
+from repro.core import IntervalMapping, Platform, StageInterval
 
 from tests.strategies import app_platform_mapping, interval_mappings
 
 #: move kinds in the order every form of the neighbourhood lists them
 SECTIONS = ("shift", "merge", "split", "add", "drop", "swap")
+
+
+def _mask(processors):
+    result = 0
+    for u in processors:
+        result |= 1 << (u - 1)
+    return result
+
+
+def neighbor_rows(mapping, num_processors):
+    """Every move in ``(ends, masks)`` row form, in neighbourhood order.
+
+    The move-order oracle: written from the move definitions alone as
+    integer tuples (interval ends, allocation bitmasks with bit ``u-1``
+    for processor ``u``), sharing nothing with :class:`Neighborhood`'s
+    closed-form counts and per-section decoders.
+    """
+    ends = tuple(iv.end for iv in mapping.intervals)
+    masks = tuple(_mask(a) for a in mapping.allocations)
+    allocs = [sorted(a) for a in mapping.allocations]
+    p = len(ends)
+    used = mapping.used_processors
+    unused = [u for u in range(1, num_processors + 1) if u not in used]
+    unused_bits = [1 << (u - 1) for u in unused]
+
+    # shift boundaries
+    starts = (1,) + tuple(e + 1 for e in ends[:-1])
+    for j in range(p - 1):
+        s1, e1 = starts[j], ends[j]
+        s2, e2 = starts[j + 1], ends[j + 1]
+        if e1 > s1:  # give last stage of I_j to I_{j+1}
+            yield ends[:j] + (e1 - 1,) + ends[j + 1 :], masks
+        if e2 > s2:  # take first stage of I_{j+1}
+            yield ends[:j] + (e1 + 1,) + ends[j + 1 :], masks
+
+    # merge adjacent intervals
+    for j in range(p - 1):
+        yield (
+            ends[:j] + ends[j + 1 :],
+            masks[:j] + (masks[j] | masks[j + 1],) + masks[j + 2 :],
+        )
+
+    # split an interval
+    for j in range(p):
+        s, e = starts[j], ends[j]
+        alloc = allocs[j]
+        full = masks[j]
+        for cut in range(s, e):
+            split_ends = ends[:j] + (cut,) + ends[j:]
+            if len(alloc) >= 2:
+                half = len(alloc) // 2
+                left, right = _mask(alloc[:half]), _mask(alloc[half:])
+                yield split_ends, masks[:j] + (left, right) + masks[j + 1 :]
+            for extra in unused_bits:
+                yield split_ends, masks[:j] + (full, extra) + masks[j + 1 :]
+                yield split_ends, masks[:j] + (extra, full) + masks[j + 1 :]
+
+    # add a replica
+    for j in range(p):
+        for extra in unused_bits:
+            yield ends, masks[:j] + (masks[j] | extra,) + masks[j + 1 :]
+
+    # drop a replica
+    for j in range(p):
+        if len(allocs[j]) > 1:
+            for victim in allocs[j]:
+                bit = 1 << (victim - 1)
+                yield ends, masks[:j] + (masks[j] & ~bit,) + masks[j + 1 :]
+
+    # swap an enrolled processor for an unused one
+    for j in range(p):
+        for victim in allocs[j]:
+            bit = 1 << (victim - 1)
+            without = masks[j] & ~bit
+            for extra in unused_bits:
+                yield ends, masks[:j] + (without | extra,) + masks[j + 1 :]
+
+
+def row_mapping(row, num_processors):
+    """Decode one ``(ends, masks)`` row through the validating constructor."""
+    ends, masks = row
+    intervals = []
+    allocations = []
+    start = 1
+    for end, mask in zip(ends, masks):
+        intervals.append(StageInterval(start, end))
+        allocations.append(
+            {u + 1 for u in range(num_processors) if mask >> u & 1}
+        )
+        start = end + 1
+    return IntervalMapping(intervals, allocations)
 
 
 def _kind(mapping, neighbour):
@@ -105,8 +194,8 @@ class TestIndexedNeighborhood:
     @settings(max_examples=100, deadline=None)
     @given(app_platform_mapping())
     def test_moves_match_rows_in_order(self, triple):
-        """Move ``i`` is the ``i``-th row of the independently written
-        row generator, and the ``i``-th mapping :func:`neighbors` yields."""
+        """Move ``i`` is the ``i``-th row of the independent oracle
+        above, and the ``i``-th mapping :func:`neighbors` yields."""
         _, plat, mapping = triple
         neighborhood = Neighborhood(mapping, plat.size)
         rows = list(neighbor_rows(mapping, plat.size))
@@ -183,7 +272,7 @@ class TestIndexedNeighborhood:
         assert indexed.getstate() == listed.getstate()
 
     def test_wide_platform(self):
-        """m > 16: processor bits past the bulk path's mask tables."""
+        """m = 17: the move order holds past 16 processors."""
         rng = random.Random(0)
         plat = Platform.communication_homogeneous(
             [rng.uniform(1.0, 8.0) for _ in range(17)],

@@ -163,19 +163,17 @@ class TestIncompatibleWarmStarts:
     before any work: a bad one is a deterministic input error, not an
     ``IndexError`` halfway through a descent or an annealing walk."""
 
-    #: (solver, threshold, extra options) for each heuristic entry point
+    #: (solver, threshold) for each heuristic entry point
     ENTRY_POINTS = [
-        (greedy_minimize_fp, 50.0, {}),
-        (greedy_minimize_latency, 0.5, {}),
-        (local_search_minimize_fp, 50.0, {"use_bulk": False}),
-        (local_search_minimize_fp, 50.0, {}),
-        (local_search_minimize_latency, 0.5, {"use_bulk": False}),
-        (local_search_minimize_latency, 0.5, {}),
-        (anneal_minimize_fp, 50.0, {}),
-        (anneal_minimize_latency, 0.5, {}),
+        (greedy_minimize_fp, 50.0),
+        (greedy_minimize_latency, 0.5),
+        (local_search_minimize_fp, 50.0),
+        (local_search_minimize_latency, 0.5),
+        (anneal_minimize_fp, 50.0),
+        (anneal_minimize_latency, 0.5),
     ]
 
-    @pytest.mark.parametrize(("solver", "threshold", "opts"), ENTRY_POINTS)
+    @pytest.mark.parametrize(("solver", "threshold"), ENTRY_POINTS)
     @pytest.mark.parametrize(
         ("bogus", "match"),
         [
@@ -185,12 +183,12 @@ class TestIncompatibleWarmStarts:
         ],
         ids=["processor-past-m", "processor-zero", "stage-count"],
     )
-    def test_rejected_before_any_work(self, solver, threshold, opts, bogus, match):
+    def test_rejected_before_any_work(self, solver, threshold, bogus, match):
         app, plat = make_instance("comm-homogeneous", n=4, m=3, seed=0)
         good = IntervalMapping.single_interval(4, {1})
         for warm_starts in ([bogus], [good, mapping_to_dict(bogus)]):
             with pytest.raises(InvalidMappingError, match=match):
-                solver(app, plat, threshold, warm_starts=warm_starts, **opts)
+                solver(app, plat, threshold, warm_starts=warm_starts)
 
     @pytest.mark.parametrize(
         ("name", "threshold"),

@@ -33,6 +33,7 @@ from repro.core.enumeration import (
     enumerate_interval_mappings,
     iter_mapping_blocks,
 )
+from repro.core.metrics_bulk import BlockBuilder
 from repro.core.pareto import BiCriteriaPoint
 from repro.exceptions import SolverError
 
@@ -199,6 +200,33 @@ class TestMappingBlock:
         evaluator = BulkEvaluator(app, plat)
         with pytest.raises(SolverError):
             evaluator.latencies(block)
+
+
+class TestBlockBuilder:
+    def test_append_widens_and_preserves_order(self):
+        builder = BlockBuilder(num_stages=6, num_processors=2, capacity=1)
+        builder.append((6,), (0b01,))
+        builder.append((2, 6), (0b01, 0b10))  # wider than initial width
+        builder.append((6,), (0b11,))
+        block = builder.build()
+        assert len(block) == 3
+        decoded = list(block.mappings())
+        assert decoded[0] == IntervalMapping.single_interval(6, {1})
+        assert decoded[1] == IntervalMapping([(1, 2), (3, 6)], [{1}, {2}])
+        assert decoded[2] == IntervalMapping.single_interval(6, {1, 2})
+
+    def test_build_snapshots(self):
+        builder = BlockBuilder(num_stages=3, num_processors=2)
+        builder.append((3,), (0b01,))
+        block = builder.build()
+        builder.append((3,), (0b10,))
+        assert len(block) == 1  # later appends do not alias the block
+        assert len(builder.build()) == 2
+
+    def test_mismatched_row_rejected(self):
+        builder = BlockBuilder(num_stages=3, num_processors=2)
+        with pytest.raises(SolverError):
+            builder.append((3,), (0b01, 0b10))
 
 
 class TestIterMappingBlocks:

@@ -223,7 +223,7 @@ class TestPrivateCaches:
 
 
 # ----------------------------------------------------------------------
-# interval-run replacements (objectives_with)
+# interval-run replacements (objectives_with, failure_probability_with)
 # ----------------------------------------------------------------------
 def _substituted(mapping, j, allocation):
     allocations = list(mapping.allocations)
@@ -239,14 +239,17 @@ def _with(cache, mapping, j, allocation):
 
 def _assert_moves_exact(cache, app, platform, mapping):
     """Every neighbourhood move of ``mapping`` (k <= 2 intervals out, one
-    or two in) scored against the plain functions on the moved mapping."""
+    or two in) scored against the plain functions on the moved mapping,
+    the FP half first (so it is the call that builds the base folds)."""
     neighborhood = Neighborhood(mapping, platform.size)
     for i in range(neighborhood.size):
         move = neighborhood.move(i)
         moved = neighborhood.apply(move)
+        fp = failure_probability(moved, platform)
+        assert cache.failure_probability_with(mapping, *move) == fp
         assert cache.objectives_with(mapping, *move) == (
             latency(moved, app, platform, one_port=cache.one_port),
-            failure_probability(moved, platform),
+            fp,
         )
 
 
@@ -385,6 +388,10 @@ class TestObjectivesWith:
             assert lat == latency(trial, app, platform)
             assert fp == failure_probability(trial, platform)
             assert (fp == 1.0) == (allocation != frozenset({1, 3}))
+            iv = mapping.intervals[j]
+            assert fp == cache.failure_probability_with(
+                mapping, j, 1, (((iv.start, iv.end), allocation),)
+            )
         # every move of both mappings: merges repair the failing interval
         # or carry it along, splits and swaps create or keep it
         for mapping in (healthy, failing):
@@ -399,14 +406,18 @@ class TestObjectivesWith:
             cache.latency(_substituted(mapping, 1, {2, 3})),
             cache.failure_probability(_substituted(mapping, 1, {2, 3})),
         )
-        with pytest.raises(InvalidMappingError):
-            _with(cache, mapping, 1, frozenset({2, 7}))
-        with pytest.raises(InvalidMappingError):
-            _with(cache, mapping, 1, frozenset({1, 2}))
-        # two intervals replaced by one that does not cover their stages
-        with pytest.raises(InvalidMappingError):
-            cache.objectives_with(mapping, 0, 2, (((1, 1), frozenset({1})),))
+        for score in (cache.objectives_with, cache.failure_probability_with):
+            with pytest.raises(InvalidMappingError):
+                score(mapping, 1, 1, (((2, 2), frozenset({2, 7})),))
+            with pytest.raises(InvalidMappingError):
+                score(mapping, 1, 1, (((2, 2), frozenset({1, 2})),))
+            # two intervals replaced by one that does not cover their stages
+            with pytest.raises(InvalidMappingError):
+                score(mapping, 0, 2, (((1, 1), frozenset({1})),))
         merged = IntervalMapping.single_interval(2, {1, 2})
         assert cache.objectives_with(
             mapping, 0, 2, (((1, 2), frozenset({1, 2})),)
         ) == (cache.latency(merged), cache.failure_probability(merged))
+        assert cache.failure_probability_with(
+            mapping, 0, 2, (((1, 2), frozenset({1, 2})),)
+        ) == cache.failure_probability(merged)

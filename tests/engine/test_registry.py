@@ -12,8 +12,9 @@ import pytest
 
 from repro import api, engine
 from repro.algorithms import bicriteria, heuristics, mono
+from repro.algorithms.result import threshold_bound
 from repro.engine.registry import Objective, get_solver
-from repro.exceptions import SolverError
+from repro.exceptions import InfeasibleProblemError, SolverError
 from repro.workloads.reference import figure5_instance, figure34_instance
 
 from tests.helpers import make_instance
@@ -179,3 +180,40 @@ class TestDispatchErrors:
         spec = get_solver("alg1")
         with pytest.raises(ValueError, match="already registered"):
             engine.register(spec)
+
+
+class TestInfiniteThresholds:
+    """Every threshold solver compares against ``threshold_bound``: no
+    mapping meets -inf, every mapping meets +inf, and finite bounds keep
+    their relative slack bit for bit."""
+
+    INSTANCE = make_instance("fully-homogeneous", n=4, m=3, seed=0)
+    #: (threshold, latency, FP) of the optimum, the same for every solver
+    FINITE = {
+        Objective.MIN_FP: (30.0, 26.326238137366612, 0.23077723911008388),
+        Objective.MIN_LATENCY: (0.5, 25.084283878631105, 0.37623741534864186),
+    }
+
+    @pytest.mark.parametrize(
+        "name", [s.name for s in api.solver_specs(needs_threshold=True)]
+    )
+    def test_every_threshold_solver(self, name):
+        app, plat = self.INSTANCE
+        with pytest.raises(InfeasibleProblemError):
+            api.solve(name, app, plat, threshold=-math.inf)
+        unbounded = api.solve(name, app, plat, threshold=math.inf)
+        assert math.isfinite(unbounded.latency)
+        threshold, lat, fp = self.FINITE[get_solver(name).objective]
+        result = api.solve(name, app, plat, threshold=threshold)
+        assert (result.latency, result.failure_probability) == (lat, fp)
+
+    @pytest.mark.parametrize(
+        "threshold", [0.0, 0.5, -3.0, 22.0, 1e300, math.inf, -math.inf]
+    )
+    def test_threshold_bound(self, threshold):
+        expected = (
+            threshold
+            if math.isinf(threshold)
+            else threshold + 1e-9 * max(1.0, abs(threshold))
+        )
+        assert threshold_bound(threshold, 1e-9) == expected

@@ -12,20 +12,12 @@ from repro.exceptions import ReproError
 
 from tests.helpers import make_instance
 
+#: one evaluation path each: no heuristic has a ``use_bulk`` option
 HEURISTICS = [
     "single-interval-min-fp",
     "greedy-min-fp",
     "local-search-min-fp",
     "anneal-min-fp",
-]
-#: heuristics with a bulk evaluation path (a ``use_bulk`` option);
-#: greedy and annealing score their trials from cached interval terms
-#: instead
-CACHED_HEURISTICS = ["greedy-min-fp", "anneal-min-fp"]
-BULK_HEURISTICS = [s for s in HEURISTICS if s not in CACHED_HEURISTICS]
-#: every (solver, use_bulk) leg; None leaves the option out
-PATHS = [(s, b) for s in BULK_HEURISTICS for b in (False, True)] + [
-    (s, None) for s in CACHED_HEURISTICS
 ]
 
 
@@ -44,12 +36,10 @@ def _record(solver, instance, *, use_bulk=None, threshold=40.0, **extra):
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize(("solver", "use_bulk"), PATHS)
-    def test_heuristics_replay_without_divergence(
-        self, solver, use_bulk, instance
-    ):
+    @pytest.mark.parametrize("solver", HEURISTICS)
+    def test_heuristics_replay_without_divergence(self, solver, instance):
         """The deterministic core: same query, same trajectory."""
-        _, recording = _record(solver, instance, use_bulk=use_bulk)
+        _, recording = _record(solver, instance)
         report = replay_run(recording, strict=True)
         assert report.ok
         assert report.status is ReplayStatus.MATCH
@@ -77,31 +67,6 @@ class TestRoundTrip:
 
 
 class TestScalarVsBulk:
-    def test_local_search_paths_agree_event_for_event(self, instance):
-        """Same seed, scalar vs vectorised scoring: the trajectories
-        must be bit-identical once diagnostics are filtered out."""
-        _, scalar = _record(
-            "local-search-min-fp", instance, use_bulk=False, seed=7
-        )
-        _, bulk = _record(
-            "local-search-min-fp", instance, use_bulk=True, seed=7
-        )
-        report = diff_runs(scalar, bulk)
-        assert report.ok
-        assert report.events_compared > 0
-        # strict comparison *should* differ: the begin banner pins
-        # use_bulk, which is exactly why it sits in DEFAULT_IGNORE
-        assert not diff_runs(scalar, bulk, ignore=()).ok
-
-    @pytest.mark.parametrize("solver", BULK_HEURISTICS)
-    def test_all_heuristic_paths_agree(self, solver, instance):
-        opts = {"seed": 3} if solver == "local-search-min-fp" else {}
-        _, scalar = _record(solver, instance, use_bulk=False, **opts)
-        _, bulk = _record(solver, instance, use_bulk=True, **opts)
-        report = diff_runs(scalar, bulk)
-        assert report.ok, report.summary()
-        assert scalar.solver_result() == bulk.solver_result()
-
     def test_exhaustive_paths_agree_on_the_result(self):
         """The exhaustive vocabularies differ by design (incumbent vs
         block_winner), so cross-path comparison is result-only."""
@@ -133,9 +98,7 @@ class TestDivergenceDiagnostics:
         ]
 
     def test_perturbed_event_diverges_at_exact_index(self, instance):
-        _, recording = _record(
-            "local-search-min-fp", instance, use_bulk=False, seed=1
-        )
+        _, recording = _record("local-search-min-fp", instance, seed=1)
         events = copy.deepcopy(list(recording.events))
         compared = [
             i

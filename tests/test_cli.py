@@ -612,14 +612,24 @@ class TestReplayCommand:
     def test_use_bulk_off_verify(self, capsys):
         argv = [
             "replay", "verify",
-            "--solver", "single-interval-min-fp",
+            "--solver", "exhaustive-min-fp",
             "--use-bulk", "off",
         ]
         assert main(argv) == 0
         assert "match" in capsys.readouterr().out
 
     @pytest.mark.parametrize("use_bulk", ["on", "off"])
-    @pytest.mark.parametrize("solver", ["greedy-min-fp", "anneal-min-fp"])
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            "greedy-min-fp",
+            "anneal-min-fp",
+            "local-search-min-fp",
+            "local-search-min-latency",
+            "single-interval-min-fp",
+            "single-interval-min-latency",
+        ],
+    )
     def test_use_bulk_for_solver_without_bulk_path(
         self, capsys, tmp_path, solver, use_bulk
     ):
